@@ -23,10 +23,9 @@ from repro.eval.perf import (
     write_report,
 )
 
-# Every stage except the quality matrix and the multi-process serving
-# bench: the per-stage tests below pin perf contracts and should not pay
-# for a (deterministic) quality run or a worker-pool + pre-fork HTTP
-# spin-up each — those two stages have their own tests in this module.
+# Every stage except the quality matrix: the per-stage tests below pin
+# perf contracts and should not pay for a (deterministic) quality run
+# each — that stage has its own tests in this module.
 _PERF_STAGES = ("results", "embed", "shard", "quant", "artifact", "serve", "graph")
 
 
@@ -243,44 +242,6 @@ def test_graph_stage_incremental_beats_full(tmp_path):
     # tables: generous smoke bound, the committed full profile holds >= 5x.
     assert row["incremental_speedup"] >= 2.0
     assert row["path_query_ms"] >= 0.0
-
-
-def test_mpserve_stage_contract(tmp_path):
-    """Process fan-out merges exactly and both serving arms answer.
-
-    Speedups are *recorded, not gated* here: CI smoke runs on 1-2 shared
-    cores where process fan-out legitimately loses to in-process GEMM.
-    The CI bench-smoke job applies the ``proc_shard_speedup > 1.5``
-    gate only when the recorded environment shows ``cpus > 1`` at the
-    50k-column size.
-    """
-    report = run_perf_suite(
-        profile="fast",
-        stages=("mpserve",),
-        mpserve_sizes=(1_000,),
-        mpserve_clients=2,
-        mpserve_requests_per_client=6,
-        stage_repeats=1,
-    )
-    assert report["stages"] == ["mpserve"]
-    assert validate_report(report) == []
-    assert report["config"]["mpserve"]["transport"] == "pipe"
-    row = report["mpserve"][-1]
-    assert row["warmup_runs"] >= 1
-    assert row["n_workers"] >= 2
-    # Bitwise contract surfaces here too: every merged batched result
-    # must equal the in-process engine's.
-    assert row["merge_equal_fraction"] == 1.0
-    assert row["batch_ms_inproc"] > 0.0 and row["batch_ms_proc"] > 0.0
-    assert row["proc_shard_speedup"] > 0.0
-    assert row["http_clients"] == 2
-    assert row["qps_one_proc"] > 0.0 and row["qps_two_proc"] > 0.0
-    assert row["http_speedup"] > 0.0
-    history = tmp_path / "BENCH_history.jsonl"
-    append_history(report, history)
-    entry = json.loads(history.read_text(encoding="utf-8").splitlines()[0])
-    assert isinstance(entry["proc_shard_speedup"], (int, float))
-    assert isinstance(entry["mpserve_http_speedup"], (int, float))
 
 
 def test_durability_stage_contract(tmp_path):

@@ -26,7 +26,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy", "networkx"],
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["warpgate = repro.cli:main"]},
     classifiers=[
         "Programming Language :: Python :: 3",

@@ -28,7 +28,6 @@ __all__ = [
     "format_bytes",
     "format_seconds",
     "DegradationPolicy",
-    "RespawnGovernor",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -180,98 +179,11 @@ def format_seconds(seconds: float) -> str:
     return f"{seconds / 60.0:.1f} min"
 
 
-class RespawnGovernor:
-    """Backoff + circuit breaker for supervisors that respawn crashed workers.
-
-    One governor guards one respawnable thing (a shard worker, a server
-    child).  Failures are timestamped into a sliding window; the window
-    drives both decisions:
-
-    * **delay** — :meth:`next_delay_s` grows exponentially with the
-      number of recent failures (``base * 2**(n-1)``, capped), plus a
-      positive jitter so a fleet of supervisors does not respawn in
-      lockstep;
-    * **breaker** — once the window holds ``max_failures`` failures,
-      :meth:`allow` returns ``False`` (the breaker is open) until enough
-      failures age out of the window or :meth:`record_success` resets it.
-
-    A successful run clears the window: steady-state crashes that are
-    minutes apart never escalate, only a crash *loop* trips the breaker.
-    ``clock``/``rng`` are injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        *,
-        base_delay_s: float = 0.05,
-        max_delay_s: float = 5.0,
-        jitter: float = 0.25,
-        max_failures: int = 5,
-        window_s: float = 30.0,
-        clock=time.monotonic,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if base_delay_s < 0 or max_delay_s < base_delay_s:
-            raise ValueError(
-                f"need 0 <= base_delay_s <= max_delay_s, got "
-                f"{base_delay_s}/{max_delay_s}"
-            )
-        if max_failures < 1:
-            raise ValueError(f"max_failures must be >= 1, got {max_failures}")
-        self.base_delay_s = base_delay_s
-        self.max_delay_s = max_delay_s
-        self.jitter = jitter
-        self.max_failures = max_failures
-        self.window_s = window_s
-        self._clock = clock
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._failures: list[float] = []
-
-    def _prune(self) -> None:
-        horizon = self._clock() - self.window_s
-        self._failures = [stamp for stamp in self._failures if stamp > horizon]
-
-    @property
-    def recent_failures(self) -> int:
-        """Failures still inside the sliding window."""
-        self._prune()
-        return len(self._failures)
-
-    def record_failure(self) -> None:
-        """Note a crash (call once per observed death)."""
-        self._prune()
-        self._failures.append(self._clock())
-
-    def record_success(self) -> None:
-        """Note a healthy run; clears the window (crash loop broken)."""
-        self._failures.clear()
-
-    def allow(self) -> bool:
-        """Whether respawning is still permitted (breaker closed)."""
-        self._prune()
-        return len(self._failures) < self.max_failures
-
-    def next_delay_s(self) -> float:
-        """Backoff to sleep before the next respawn attempt.
-
-        0.0 when the window is clean; otherwise exponential in the
-        recent-failure count with a positive uniform jitter (the delay is
-        never *shorter* than the deterministic schedule).
-        """
-        self._prune()
-        count = len(self._failures)
-        if count == 0:
-            return 0.0
-        delay = min(self.max_delay_s, self.base_delay_s * (2.0 ** (count - 1)))
-        return float(delay * (1.0 + self._rng.uniform(0.0, self.jitter)))
-
-
 class DegradationPolicy:
     """Hysteretic degraded-mode controller driven by load-shed events.
 
     The serving stack's overload signal is admission-control sheds: each
-    one is timestamped into a sliding window (the same shape as
-    :class:`RespawnGovernor`'s failure window).  The window drives a
+    one is timestamped into a sliding window.  The window drives a
     three-tier state machine:
 
     * **tier 0 (normal)** — full-fidelity service;

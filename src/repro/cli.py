@@ -79,8 +79,6 @@ def _config_from_args(args: argparse.Namespace) -> WarpGateConfig:
         coalesce_max_batch=getattr(args, "max_batch", 32),
         coalesce_max_wait_us=getattr(args, "max_wait_us", 500),
         query_cache_size=getattr(args, "query_cache_size", 4096),
-        shard_workers=getattr(args, "shard_workers", 0),
-        worker_transport=getattr(args, "worker_transport", "pipe"),
         durable_dir=getattr(args, "durable_dir", "") or None,
         durable_fsync=getattr(args, "fsync", "always"),
         checkpoint_every=getattr(args, "checkpoint_every", 256),
@@ -136,37 +134,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     warehouse = _warehouse_from_csv_dir(Path(args.directory))
     config = _config_from_args(args)
-    if config.durable_dir and args.procs > 1:
-        # The durable store is single-writer (one WAL, one manifest);
-        # forked children would race their appends and checkpoints.
-        print(
-            "error: --durable-dir requires --procs 1 (the WAL is "
-            "single-writer)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.procs > 1:
-        from repro.service import serve_multiprocess
-
-        # The warehouse is loaded once pre-fork (copy-on-write pages);
-        # each child builds its own service so the whole request path
-        # runs GIL-free in parallel across processes.
-        def factory() -> DiscoveryService:
-            service = DiscoveryService(config)
-            service.open(WarehouseConnector(warehouse))
-            return service
-
-        serve_multiprocess(
-            factory,
-            args.host,
-            args.port,
-            procs=args.procs,
-            workers=args.workers,
-            admission_queue_depth=args.admission_queue_depth,
-            max_body_bytes=args.max_body_bytes,
-            body_read_timeout_s=args.body_timeout,
-        )
-        return 0
     if config.durable_dir and (Path(config.durable_dir) / "MANIFEST").exists():
         # A previous run (clean or crashed) left a durable store here:
         # recover it instead of re-indexing the corpus over it.
@@ -421,42 +388,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ],
                 serve_rows,
                 title="HTTP serving engine (thread-per-request vs pool+coalesce+cache)",
-            )
-        )
-    mpserve_rows = [
-        [
-            row["n_columns"],
-            row["n_workers"],
-            f"{row['batch_ms_inproc']:.1f}",
-            f"{row['batch_ms_proc']:.1f}",
-            f"{row['proc_shard_speedup']:.2f}x",
-            f"{row['merge_equal_fraction']:.0%}",
-            f"{row['qps_one_proc']:.0f}",
-            f"{row['qps_two_proc']:.0f}",
-            f"{row['http_speedup']:.2f}x",
-        ]
-        for row in report["mpserve"]
-    ]
-    if mpserve_rows:
-        print(
-            render_table(
-                [
-                    "columns",
-                    "workers",
-                    "thread ms",
-                    "proc ms",
-                    "speedup",
-                    "merge =",
-                    "1-proc qps",
-                    "2-proc qps",
-                    "http x",
-                ],
-                mpserve_rows,
-                title=(
-                    "Multi-process engines "
-                    f"({report['environment']['cpus']} cpu core(s), "
-                    f"{report['config']['mpserve']['transport']} transport)"
-                ),
             )
         )
     overload_rows = [
@@ -736,20 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="score candidates on int8 codes with exact float32 re-rank",
         )
-        sub.add_argument(
-            "--shard-workers",
-            type=int,
-            default=0,
-            help="shard worker processes fanning queries out over shared "
-            "mmap segments (0 = in-process index)",
-        )
-        sub.add_argument(
-            "--worker-transport",
-            default="pipe",
-            choices=("pipe", "shm"),
-            help="query-vector transport to shard workers (shm = POSIX "
-            "shared memory for large batches)",
-        )
 
     discover = subparsers.add_parser(
         "discover", help="find joinable columns in a directory of CSV files"
@@ -788,13 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="fixed HTTP worker pool size (concurrent persistent connections)",
-    )
-    serve_cmd.add_argument(
-        "--procs",
-        type=int,
-        default=1,
-        help="server processes sharing the port via SO_REUSEPORT "
-        "(1 = single process; >1 forks one full server per process)",
     )
     serve_cmd.add_argument(
         "--admission-queue-depth",
@@ -955,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stages",
         default="",
         help="comma-separated subset of stages to run (default: all); "
-        "choices: results, embed, shard, quant, artifact, serve, mpserve, overload, "
+        "choices: results, embed, shard, quant, artifact, serve, overload, "
         "graph, durability, quality; subset runs skip the history append",
     )
     bench.add_argument("--dim", type=int, default=256, help="embedding dimensionality")

@@ -18,7 +18,8 @@ _SCORING_MODES = ("cosine", "hybrid")
 _AGGREGATIONS = ("mean", "tfidf")
 _SAMPLING_STRATEGIES = ("head", "uniform", "reservoir", "distinct")
 _SHARD_PLACEMENTS = ("hash", "round_robin")
-_WORKER_TRANSPORTS = ("pipe", "shm")
+# Fields a pre-removal artifact header or durable MANIFEST still carries.
+_RETIRED_KEYS = ("shard_workers", "worker_transport")
 _FSYNC_POLICIES = ("always", "never")
 
 
@@ -60,19 +61,6 @@ class WarpGateConfig:
     shard_placement:
         ``hash`` (stable hash of table identity — table columns colocate)
         or ``round_robin`` (exact balance).
-    shard_workers:
-        Worker *processes* for the query fan-out (see
-        :class:`repro.index.ProcessShardedIndex`); 0 (default) keeps
-        everything in-process.  With ``shard_workers > 0`` the engine
-        runs one worker process per shard over shared mmap segments —
-        GIL-free scoring — while mutations stay on the in-process
-        writer.  ``n_shards`` must be 1 (the worker count then *is* the
-        shard count) or equal to ``shard_workers``.
-    worker_transport:
-        How query blocks reach the workers: ``pipe`` (pickled over the
-        request pipe, default) or ``shm`` (staged in a
-        ``multiprocessing.shared_memory`` buffer, descriptor-only
-        messages).
     quantize:
         Score candidates on int8 codes (4x smaller scoring set) and
         re-rank the survivors exactly in float32
@@ -166,8 +154,6 @@ class WarpGateConfig:
     index_chunk_size: int = 512
     n_shards: int = 1
     shard_placement: str = "hash"
-    shard_workers: int = 0
-    worker_transport: str = "pipe"
     quantize: bool = False
     rerank_factor: int = 4
     coalesce: bool = True
@@ -218,25 +204,6 @@ class WarpGateConfig:
             raise ValueError(
                 f"unknown shard_placement {self.shard_placement!r}; "
                 f"choose from {_SHARD_PLACEMENTS}"
-            )
-        if self.shard_workers < 0:
-            raise ValueError(
-                f"shard_workers must be >= 0, got {self.shard_workers}"
-            )
-        if (
-            self.shard_workers > 0
-            and self.n_shards > 1
-            and self.n_shards != self.shard_workers
-        ):
-            raise ValueError(
-                f"shard_workers ({self.shard_workers}) must match n_shards "
-                f"({self.n_shards}) when both are set: one worker process "
-                "owns exactly one shard"
-            )
-        if self.worker_transport not in _WORKER_TRANSPORTS:
-            raise ValueError(
-                f"unknown worker_transport {self.worker_transport!r}; "
-                f"choose from {_WORKER_TRANSPORTS}"
             )
         if self.rerank_factor < 1:
             raise ValueError(
@@ -294,6 +261,20 @@ class WarpGateConfig:
                 f"degrade_recovery_s must be >= 0, got {self.degrade_recovery_s}"
             )
 
+    @classmethod
+    def from_saved(cls, saved: dict) -> "WarpGateConfig":
+        """Rebuild the config stored in an artifact header or MANIFEST.
+
+        Today's constructor, minus the two retired process-worker keys
+        that artifacts written before their removal still carry.  A
+        store saved under ``shard_workers=N`` restores with its saved
+        ``n_shards``; the flat payload re-partitions on load as it
+        always has.
+        """
+        return cls(
+            **{key: value for key, value in saved.items() if key not in _RETIRED_KEYS}
+        )
+
     def with_sampling(self, sample_size: int | None, strategy: str | None = None) -> "WarpGateConfig":
         """Copy of this config with a different sampling setup."""
         return replace(
@@ -323,18 +304,6 @@ class WarpGateConfig:
             n_shards=n_shards,
             shard_placement=(
                 placement if placement is not None else self.shard_placement
-            ),
-        )
-
-    def with_workers(
-        self, shard_workers: int, transport: str | None = None
-    ) -> "WarpGateConfig":
-        """Copy of this config with multi-process query fan-out toggled."""
-        return replace(
-            self,
-            shard_workers=shard_workers,
-            worker_transport=(
-                transport if transport is not None else self.worker_transport
             ),
         )
 

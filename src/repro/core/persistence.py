@@ -216,7 +216,7 @@ def load_index(path: str | Path) -> WarpGate:
     version = header.get("format_version")
     if version not in _SUPPORTED_VERSIONS:
         raise DiscoveryError(f"unsupported index format {version!r}")
-    config = WarpGateConfig(**header["config"])
+    config = WarpGateConfig.from_saved(header["config"])
     for member in ("refs", "vectors"):
         if member not in payload:
             raise ArtifactCorruptionError(path, member=member, detail="missing")
@@ -330,7 +330,7 @@ def load_index_durable(directory: str | Path):
     directory = Path(directory)
     store = DurableIndexStore(directory, fsync="never")
     config_dict, refs, vectors, report = store.recover()
-    config = WarpGateConfig(**config_dict)
+    config = WarpGateConfig.from_saved(config_dict)
     # The store may have been moved/copied since the manifest was
     # written; the directory actually recovered from is the truth.
     config = replace(config, durable_dir=str(directory))

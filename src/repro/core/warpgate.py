@@ -81,11 +81,8 @@ class WarpGate(JoinDiscoverySystem):
 
         With ``n_shards > 1`` the backend factory is replicated behind a
         :class:`~repro.index.sharding.ShardedIndex` (parallel fan-out,
-        shard-local mutation); ``shard_workers > 0`` upgrades that to a
-        :class:`~repro.index.procpool.ProcessShardedIndex` (one worker
-        process per shard over shared mmap segments — GIL-free scoring);
-        ``quantize`` enables int8 candidate scoring with exact float32
-        re-ranking on every shard.
+        shard-local mutation); ``quantize`` enables int8 candidate
+        scoring with exact float32 re-ranking on every shard.
         """
 
         def make_backend():
@@ -100,20 +97,7 @@ class WarpGate(JoinDiscoverySystem):
                 return ExactCosineIndex(self.config.dim)
             return PivotFilterIndex(self.config.dim, threshold=self.config.threshold)
 
-        if self.config.shard_workers > 0:
-            from repro.index.procpool import ProcessShardedIndex
-
-            # One worker process per shard: n_shards == 1 means the
-            # worker count *defines* the partitioning (config validation
-            # pins any explicit n_shards to shard_workers).
-            index = ProcessShardedIndex(
-                self.config.dim,
-                make_backend,
-                n_shards=self.config.shard_workers,
-                placement=self.config.shard_placement,
-                transport=self.config.worker_transport,
-            )
-        elif self.config.n_shards > 1:
+        if self.config.n_shards > 1:
             index = ShardedIndex(
                 self.config.dim,
                 make_backend,
@@ -125,16 +109,6 @@ class WarpGate(JoinDiscoverySystem):
         if self.config.quantize:
             index.enable_quantization(self.config.rerank_factor)
         return index
-
-    def close(self) -> None:
-        """Release engine resources (worker processes, published segments).
-
-        A no-op for in-process engines; with ``shard_workers > 0`` this
-        terminates the shard worker pool.  Idempotent.
-        """
-        close = getattr(self._index, "close", None)
-        if close is not None:
-            close()
 
     def _default_sampler(self) -> Sampler | None:
         if self.config.sample_size is None:

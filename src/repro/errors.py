@@ -113,22 +113,6 @@ class DimensionMismatchError(IndexError_):
         )
 
 
-class WorkerCrashError(IndexError_):
-    """Raised when a shard worker process dies (or stalls) mid-request.
-
-    Carries the shard id so the pool's restart path and the serving
-    layer's error envelope can name the failed partition.  The pool
-    reaps the dead worker before raising, so the next query respawns it
-    from the last published segment — callers see one failed request,
-    never a hang.
-    """
-
-    def __init__(self, shard_id: int, reason: str) -> None:
-        self.shard_id = shard_id
-        self.reason = reason
-        super().__init__(f"shard worker {shard_id} crashed: {reason}")
-
-
 class DiscoveryError(ReproError):
     """Base class for errors in the discovery layer (WarpGate + baselines)."""
 
@@ -217,26 +201,6 @@ class ManifestError(DurabilityError):
     def __init__(self, path, detail: str) -> None:
         self.path = str(path)
         super().__init__(f"bad manifest {self.path}: {detail}")
-
-
-class RespawnLimitError(IndexError_):
-    """Raised when a worker's respawn circuit breaker trips.
-
-    A worker crash-looping on a poisoned artifact would otherwise respawn
-    in a hot spin; past ``max_respawns`` failures inside the breaker
-    window the slot is disabled and this error names the budget that ran
-    out, so the operator sees one clear failure instead of a busy loop.
-    """
-
-    def __init__(self, what: str, failures: int, window_s: float) -> None:
-        self.what = what
-        self.failures = failures
-        self.window_s = window_s
-        super().__init__(
-            f"{what}: respawn circuit breaker open after {failures} "
-            f"crash(es) within {window_s:.0f}s; not respawning "
-            "(suspect a poisoned artifact or persistent startup failure)"
-        )
 
 
 class EvaluationError(ReproError):

@@ -61,7 +61,6 @@ HIGHER_IS_BETTER = (
     "batch_speedup",
     "embed_speedup",
     "shard_speedup",
-    "proc_shard_speedup",
     "quant_recall_at_k",
     "quant_speedup",
     "artifact_load_speedup",

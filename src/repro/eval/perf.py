@@ -34,15 +34,6 @@ cache's steady-state hit rate.  A single-client probe pins the
 coalescer's fast-path contract: p50 latency with coalescing on stays
 within 10% of the uncoalesced path.
 
-The ``mpserve`` stage tracks the multi-process engines against their
-in-process twins: :class:`~repro.index.procpool.ProcessShardedIndex`
-batched search vs :class:`~repro.index.sharding.ShardedIndex` (with the
-same merge-exactness probe), and the ``SO_REUSEPORT`` HTTP front at 1
-vs 2 processes.  ``environment.cpus`` and ``environment.cpu_affinity``
-record the hardware; on a single-core host the honest assertion is
-result parity, not speedup — CI gates ``proc_shard_speedup`` only when
-``cpus > 1``.
-
 Stage timers are warm-up-excluded medians (``_timed_median``): every
 timed arm first runs untimed ``warmup_runs`` times (JIT, lazy imports,
 BLAS thread spin-up, cache fill), then reports the median of the timed
@@ -95,7 +86,7 @@ __all__ = [
 
 BENCH_REPORT_NAME = "BENCH_index.json"
 BENCH_HISTORY_NAME = "BENCH_history.jsonl"
-_SCHEMA_VERSION = 9
+_SCHEMA_VERSION = 10
 
 #: Every stage the suite can run, in run order.  ``run_perf_suite``'s
 #: ``stages`` parameter selects a subset (``python -m repro bench
@@ -108,7 +99,6 @@ ALL_STAGES = (
     "quant",
     "artifact",
     "serve",
-    "mpserve",
     "overload",
     "graph",
     "durability",
@@ -135,9 +125,6 @@ PROFILES: dict[str, dict] = {
         "serve_sizes": (10_000,),
         "serve_clients": 16,
         "serve_requests_per_client": 64,
-        "mpserve_sizes": (10_000, 50_000),
-        "mpserve_clients": 8,
-        "mpserve_requests_per_client": 32,
         "overload_sizes": (10_000,),
         "overload_requests_per_client": 64,
         "graph_sizes": (10_000,),
@@ -156,9 +143,6 @@ PROFILES: dict[str, dict] = {
         "serve_sizes": (2_000,),
         "serve_clients": 8,
         "serve_requests_per_client": 16,
-        "mpserve_sizes": (2_000,),
-        "mpserve_clients": 4,
-        "mpserve_requests_per_client": 8,
         "overload_sizes": (2_000,),
         "overload_requests_per_client": 16,
         "graph_sizes": (2_000,),
@@ -259,26 +243,6 @@ _SERVE_FIELDS = (
     "single_latency_ratio",
     "cache_hit_rate",
     "mean_batch",
-    "warmup_runs",
-)
-
-# Fields every mpserve-stage row must carry: the multi-process engines vs
-# their in-process twins — ProcessShardedIndex search_batch against
-# ShardedIndex (with the same merge-exactness probe the shard stage
-# runs), and the SO_REUSEPORT HTTP front at 1 vs 2 processes.
-# ``transport`` rides along as a string and is validated separately.
-_MPSERVE_FIELDS = (
-    "n_columns",
-    "n_workers",
-    "batch_ms_inproc",
-    "batch_ms_proc",
-    "proc_shard_speedup",
-    "merge_equal_fraction",
-    "http_clients",
-    "http_requests",
-    "qps_one_proc",
-    "qps_two_proc",
-    "http_speedup",
     "warmup_runs",
 )
 
@@ -1434,121 +1398,6 @@ def _bench_overload_one_size(
     }
 
 
-def _bench_mpserve_one_size(
-    n: int,
-    *,
-    dim: int,
-    n_bits: int,
-    n_bands: int,
-    threshold: float,
-    batch_size: int,
-    k: int,
-    n_workers: int,
-    transport: str,
-    repeats: int,
-    clients: int,
-    requests_per_client: int,
-    query_pool: int = 128,
-) -> dict:
-    """Multi-process engines vs their in-process twins at one corpus size.
-
-    Two arms, both exactness-checked:
-
-    * **index fan-out** — the identical corpus partitioned across
-      ``n_workers``, batched search on the in-process
-      :class:`~repro.index.sharding.ShardedIndex` (thread fan-out, GIL
-      released only inside the GEMMs) vs the
-      :class:`~repro.index.procpool.ProcessShardedIndex` (one worker
-      process per shard, shared-mmap segments, GIL-free end to end).
-      ``merge_equal_fraction`` re-verifies at benchmark scale the
-      bitwise-identical merge the property tests pin: both engines must
-      return the *same* ranked lists.
-    * **HTTP front** — the same pre-built synthetic service behind the
-      ``SO_REUSEPORT`` :class:`~repro.service.mpserve.MultiProcessServer`
-      at 1 vs 2 processes, driven by ``clients`` keep-alive connections.
-
-    On a single-core host both speedups hover near (or below) 1x — the
-    IPC and fork overhead buys nothing without parallel hardware — which
-    is why the CI gate on ``proc_shard_speedup`` is conditional on
-    ``environment.cpus > 1``; the single-core assertion is parity of
-    *results*, not of speed.
-    """
-    from repro.index.procpool import ProcessShardedIndex
-    from repro.index.sharding import ShardedIndex
-    from repro.service.mpserve import MultiProcessServer
-    from repro.storage.schema import ColumnRef
-
-    corpus, queries = _corpus_and_queries(n, dim, batch_size)
-    keys = list(range(n))
-
-    def make_backend() -> SimHashLSHIndex:
-        return SimHashLSHIndex(
-            dim, n_bits=n_bits, n_bands=n_bands, threshold=threshold
-        )
-
-    inproc = ShardedIndex(dim, make_backend, n_shards=n_workers)
-    inproc.bulk_load(keys, corpus)
-    inproc.build()
-    inproc_results = inproc.search_batch(queries, k)
-    inproc_s = _timed_median(repeats, lambda: inproc.search_batch(queries, k))
-
-    with ProcessShardedIndex(
-        dim, make_backend, n_shards=n_workers, transport=transport
-    ) as proc:
-        proc.bulk_load(keys, corpus)
-        proc.build()
-        # Parity probe (also publishes segments and warms the workers).
-        proc_results = proc.search_batch(queries, k)
-        equal = sum(
-            1 for got, want in zip(proc_results, inproc_results) if got == want
-        )
-        proc_s = _timed_median(repeats, lambda: proc.search_batch(queries, k))
-
-    # HTTP arm: identical service factory, 1 vs 2 SO_REUSEPORT processes.
-    _, query_vectors = _corpus_and_queries(n, dim, query_pool)
-    refs = [ColumnRef("bench", f"table_{i // 64}", f"col_{i % 64}") for i in range(n)]
-    query_names = [f"bench.queries.q{position}" for position in range(query_pool)]
-    total = clients * requests_per_client
-    stream = [query_names[position % query_pool] for position in range(total)]
-    warm_stream = stream[: max(clients * 4, 32)]
-
-    def factory():
-        return _serve_service(
-            refs,
-            corpus,
-            query_names,
-            query_vectors,
-            dim=dim,
-            coalesce=True,
-            query_cache_size=4096,
-        )
-
-    drive = dict(clients=clients, k=k, threshold=0.5, keepalive=True)
-    walls: dict[int, float] = {}
-    for procs in (1, 2):
-        with MultiProcessServer(
-            factory, port=0, procs=procs, workers=clients + 2
-        ) as front:
-            _drive_clients(front.port, warm_stream, **drive)
-            walls[procs], _latencies = _drive_clients(front.port, stream, **drive)
-
-    return {
-        "n_columns": n,
-        "n_workers": n_workers,
-        "transport": transport,
-        "batch_ms_inproc": round(inproc_s * 1e3, 3),
-        "batch_ms_proc": round(proc_s * 1e3, 3),
-        "proc_shard_speedup": round(inproc_s / proc_s, 2),
-        "merge_equal_fraction": round(equal / batch_size, 4),
-        "http_clients": clients,
-        "http_requests": total,
-        "qps_one_proc": round(total / walls[1], 1),
-        "qps_two_proc": round(total / walls[2], 1),
-        "http_speedup": round(walls[1] / walls[2], 2),
-        "warmup_runs": _WARMUP_RUNS,
-    }
-
-
 def run_perf_suite(
     *,
     profile: str = "full",
@@ -1575,12 +1424,8 @@ def run_perf_suite(
     serve_sizes: tuple[int, ...] | None = None,
     serve_clients: int | None = None,
     serve_requests_per_client: int | None = None,
-    mpserve_sizes: tuple[int, ...] | None = None,
-    mpserve_clients: int | None = None,
-    mpserve_requests_per_client: int | None = None,
     overload_sizes: tuple[int, ...] | None = None,
     overload_requests_per_client: int | None = None,
-    worker_transport: str = "pipe",
     graph_sizes: tuple[int, ...] | None = None,
     graph_edge_threshold: float = 0.7,
     durability_sizes: tuple[int, ...] | None = None,
@@ -1652,21 +1497,6 @@ def run_perf_suite(
         serve_requests_per_client
         if serve_requests_per_client is not None
         else spec.get("serve_requests_per_client", 64)
-    )
-    mpserve_sizes = (
-        tuple(mpserve_sizes)
-        if mpserve_sizes is not None
-        else spec["mpserve_sizes"]
-    )
-    mpserve_clients = (
-        mpserve_clients
-        if mpserve_clients is not None
-        else spec.get("mpserve_clients", 8)
-    )
-    mpserve_requests_per_client = (
-        mpserve_requests_per_client
-        if mpserve_requests_per_client is not None
-        else spec.get("mpserve_requests_per_client", 32)
     )
     overload_sizes = (
         tuple(overload_sizes)
@@ -1775,29 +1605,6 @@ def run_perf_suite(
                 requests_per_client=serve_requests_per_client,
             )
         )
-    mpserve_results = []
-    for n in mpserve_sizes if "mpserve" in stages else ():
-        if progress is not None:
-            progress(
-                f"benchmarking {n_shards} shard worker processes at "
-                f"{n} columns ..."
-            )
-        mpserve_results.append(
-            _bench_mpserve_one_size(
-                n,
-                dim=dim,
-                n_bits=n_bits,
-                n_bands=n_bands,
-                threshold=threshold,
-                batch_size=batch_size,
-                k=k,
-                n_workers=n_shards,
-                transport=worker_transport,
-                repeats=stage_repeats,
-                clients=mpserve_clients,
-                requests_per_client=mpserve_requests_per_client,
-            )
-        )
     overload_results = []
     for n in overload_sizes if "overload" in stages else ():
         if progress is not None:
@@ -1872,12 +1679,6 @@ def run_perf_suite(
                 "threshold": 0.5,
                 "query_pool": 256,
             },
-            "mpserve": {
-                "workers": n_shards,
-                "transport": worker_transport,
-                "clients": mpserve_clients,
-                "requests_per_client": mpserve_requests_per_client,
-            },
             "overload": {
                 "workers": 4,
                 "queue_depth": 4,
@@ -1919,7 +1720,6 @@ def run_perf_suite(
         "quant": quant_results,
         "artifact": artifact_results,
         "serve": serve_results,
-        "mpserve": mpserve_results,
         "overload": overload_results,
         "graph": graph_results,
         "durability": durability_results,
@@ -1972,18 +1772,11 @@ def validate_report(payload: dict) -> list[str]:
                 value = row.get(field)
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     problems.append(f"embed {row.get('n_columns')}: bad {field!r}")
-    if "mpserve" in ran:
-        for row in payload.get("mpserve") or []:
-            if not isinstance(row.get("transport"), str):
-                problems.append(
-                    f"mpserve {row.get('n_columns')}: bad 'transport'"
-                )
     for stage, fields in (
         ("shard", _SHARD_FIELDS),
         ("quant", _QUANT_FIELDS),
         ("artifact", _ARTIFACT_FIELDS),
         ("serve", _SERVE_FIELDS),
-        ("mpserve", _MPSERVE_FIELDS),
         ("overload", _OVERLOAD_FIELDS),
         ("graph", _GRAPH_FIELDS),
         ("durability", _DURABILITY_FIELDS),
@@ -2061,7 +1854,6 @@ def append_history(report: dict, path: str | Path) -> Path:
     artifact = report["artifact"][-1] if report.get("artifact") else {}
     embed = report["embed"][-1] if report.get("embed") else {}
     serve = report["serve"][-1] if report.get("serve") else {}
-    mpserve = report["mpserve"][-1] if report.get("mpserve") else {}
     overload = report["overload"][-1] if report.get("overload") else {}
     graph = report["graph"][-1] if report.get("graph") else {}
     durability = report["durability"][-1] if report.get("durability") else {}
@@ -2082,8 +1874,6 @@ def append_history(report: dict, path: str | Path) -> Path:
         "serve_qps_engine": serve.get("qps_engine"),
         "serve_coalesced_speedup": serve.get("coalesced_speedup"),
         "serve_cache_hit_rate": serve.get("cache_hit_rate"),
-        "proc_shard_speedup": mpserve.get("proc_shard_speedup"),
-        "mpserve_http_speedup": mpserve.get("http_speedup"),
         "overload_goodput_4x": overload.get("goodput_4x"),
         "overload_shed_rate_4x": overload.get("shed_rate_4x"),
         "overload_shed_p99_ms": overload.get("shed_p99_4x_ms"),

@@ -18,9 +18,6 @@ one columnar substrate:
   used by the Aurum and D3L baselines;
 * :class:`ShardedIndex` — partitioned engine: per-shard arenas queried in
   parallel on a shared thread pool, exact top-k merge;
-* :class:`ProcessShardedIndex` — the same partitioned engine with the
-  read path fanned out to worker *processes* over shared mmap segments
-  (GIL-free scoring, single in-process writer);
 * :class:`ArenaQuantizer` — int8 per-dimension quantization with a fused
   int32 candidate scorer and exact float32 re-rank;
 * :func:`load_npz_arrays` — zero-copy ``np.memmap`` reads of uncompressed
@@ -33,7 +30,6 @@ from repro.index.lsh import SimHashLSHIndex
 from repro.index.minhash import MinHashIndex, MinHashSignature
 from repro.index.mmapio import load_npz_arrays
 from repro.index.pivot import PivotFilterIndex
-from repro.index.procpool import ProcessShardedIndex
 from repro.index.quant import ArenaQuantizer
 from repro.index.sharding import ShardedIndex
 from repro.index.simhash import (
@@ -50,7 +46,6 @@ __all__ = [
     "MinHashIndex",
     "MinHashSignature",
     "PivotFilterIndex",
-    "ProcessShardedIndex",
     "ShardedIndex",
     "SimHashFamily",
     "SimHashLSHIndex",

@@ -392,8 +392,6 @@ class VectorArena:
         keys: list[object],
         matrix: np.ndarray,
         signatures: np.ndarray | None = None,
-        *,
-        alive: np.ndarray | None = None,
     ) -> np.ndarray:
         """Take ownership of pre-built rows *without copying the vectors*.
 
@@ -406,12 +404,6 @@ class VectorArena:
         Valid on an empty arena only.  The first in-place write
         (compaction) thaws the storage into a private RAM copy; appends
         grow into fresh storage anyway.
-
-        ``alive`` restores a layout-preserving artifact (see
-        :meth:`save`): rows whose mask bit is clear are adopted as
-        tombstones (their key slot is ignored), reproducing the writer's
-        physical layout exactly — the property the multi-process read
-        path relies on for bitwise score parity.
         """
         if self._size:
             raise ValueError("adopt() requires an empty arena")
@@ -423,16 +415,7 @@ class VectorArena:
         count = matrix.shape[0]
         if len(keys) != count:
             raise ValueError(f"{len(keys)} keys for {count} matrix rows")
-        if alive is not None:
-            alive = np.array(alive, dtype=bool)
-            if alive.shape != (count,):
-                raise ValueError(
-                    f"alive mask of {alive.shape} for {count} matrix rows"
-                )
-            live_keys = [key for key, bit in zip(keys, alive) if bit]
-            if len(set(live_keys)) != len(live_keys):
-                raise ValueError("duplicate live keys in one adopt() call")
-        elif len(set(keys)) != count:
+        if len(set(keys)) != count:
             raise ValueError("duplicate keys in one adopt() call")
         if matrix.dtype != self.dtype:
             matrix = matrix.astype(self.dtype)
@@ -449,23 +432,11 @@ class VectorArena:
             signatures = None
         self._matrix = matrix
         self._signatures = signatures
-        if alive is None:
-            self._alive = np.ones(count, dtype=bool)
-            self._keys = list(keys)
-            self._rows = {key: row for row, key in enumerate(self._keys)}
-            self._live = count
-        else:
-            self._alive = alive
-            self._keys = [
-                key if bit else None for key, bit in zip(keys, alive)
-            ]
-            self._rows = {
-                key: row
-                for row, (key, bit) in enumerate(zip(keys, alive))
-                if bit
-            }
-            self._live = int(alive.sum())
+        self._alive = np.ones(count, dtype=bool)
+        self._keys = list(keys)
+        self._rows = {key: row for row, key in enumerate(self._keys)}
         self._size = count
+        self._live = count
         self._owns_memory = bool(matrix.flags.writeable) and (
             signatures is None or bool(signatures.flags.writeable)
         )
@@ -474,14 +445,8 @@ class VectorArena:
 
     # -- persistence --------------------------------------------------------------
 
-    def save(
-        self,
-        path: str | Path,
-        *,
-        compress: bool = False,
-        preserve_layout: bool = False,
-    ) -> Path:
-        """Write the arena to ``path`` as an ``.npz`` archive.
+    def save(self, path: str | Path, *, compress: bool = False) -> Path:
+        """Write the live rows to ``path`` as an ``.npz`` archive.
 
         Uncompressed by default: an uncompressed archive saves ~10x faster
         on the embedding matrices this stores (near-incompressible float32
@@ -491,20 +456,9 @@ class VectorArena:
         Pass ``compress=True`` to trade that away for ~20-30% smaller
         files (cold storage, network shipping).
 
-        By default the artifact is compacted on the way out: only live
-        rows are stored, so tombstones never ship.  With
-        ``preserve_layout=True`` the full occupied region is written
-        verbatim — tombstoned rows, alive mask and all — so a reader that
-        adopts it reconstructs the *physical* row layout of this arena.
-        That is the multi-process replication mode: float32 matrix
-        products are sensitive to row layout in the last ulp (BLAS picks
-        its reduction order from the matrix shape), so a worker scoring a
-        compacted copy can disagree with the writer by one ulp after
-        churn.  A layout-preserving segment makes worker arithmetic
-        bit-identical to the writer's; the size overhead is bounded by
-        the compaction threshold (dead rows never exceed ~25% of the
-        region).  Keys are serialized as an object array (refs, strings,
-        ints — anything picklable).
+        The artifact is compacted on the way out: only live rows are
+        stored, so tombstones never ship.  Keys are serialized as an
+        object array (refs, strings, ints — anything picklable).
 
         This is the substrate-level primitive (arena in, arena out); the
         *deployment* artifact — config header, portable string refs,
@@ -512,30 +466,17 @@ class VectorArena:
         which stores the same arrays under its own envelope.
         """
         path = Path(path)
-        if preserve_layout:
-            keys = np.empty(self._size, dtype=object)
-            keys[:] = self._keys
-            payload = {
-                "dim": np.int64(self.dim),
-                "signature_words": np.int64(self.signature_words),
-                "matrix": self._matrix[: self._size],
-                "keys": keys,
-                "alive": np.array(self._alive[: self._size]),
-            }
-            if self._signatures is not None:
-                payload["signatures"] = self._signatures[: self._size]
-        else:
-            live = self.live_rows()
-            keys = np.empty(len(live), dtype=object)
-            keys[:] = [self._keys[row] for row in live]
-            payload = {
-                "dim": np.int64(self.dim),
-                "signature_words": np.int64(self.signature_words),
-                "matrix": self._matrix[live],
-                "keys": keys,
-            }
-            if self._signatures is not None:
-                payload["signatures"] = self._signatures[live]
+        live = self.live_rows()
+        keys = np.empty(len(live), dtype=object)
+        keys[:] = [self._keys[row] for row in live]
+        payload = {
+            "dim": np.int64(self.dim),
+            "signature_words": np.int64(self.signature_words),
+            "matrix": self._matrix[live],
+            "keys": keys,
+        }
+        if self._signatures is not None:
+            payload["signatures"] = self._signatures[live]
         writer = np.savez_compressed if compress else np.savez
         writer(path, **payload)
         return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
@@ -560,7 +501,6 @@ class VectorArena:
             matrix = payload["matrix"]
             keys = list(payload["keys"])
             signatures = payload.get("signatures")
-            alive = payload.get("alive")
         else:
             with np.load(path, allow_pickle=True) as payload:
                 dim = int(payload["dim"])
@@ -570,10 +510,9 @@ class VectorArena:
                 signatures = (
                     payload["signatures"] if "signatures" in payload else None
                 )
-                alive = payload["alive"] if "alive" in payload else None
         arena = cls(dim, signature_words=signature_words)
         if keys:
-            arena.adopt(keys, matrix, signatures, alive=alive)
+            arena.adopt(keys, matrix, signatures)
         return arena
 
 
@@ -767,8 +706,6 @@ class ColumnarIndex:
         keys: list[object],
         matrix: np.ndarray,
         signatures: np.ndarray | None = None,
-        *,
-        alive: np.ndarray | None = None,
     ) -> None:
         """Zero-copy restore: adopt pre-built unit rows as the arena storage.
 
@@ -782,9 +719,7 @@ class ColumnarIndex:
         independent of ``dim``.  Rows must be ``float32`` unit vectors,
         which every saved artifact guarantees.  Requires an empty index.
         When the backend stores signatures and none are supplied they are
-        recomputed (which reads every row once).  ``alive`` restores a
-        layout-preserving artifact, tombstones included (see
-        :meth:`VectorArena.adopt`).
+        recomputed (which reads every row once).
         """
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[1] != self.dim:
@@ -793,7 +728,7 @@ class ColumnarIndex:
             )
         if self._arena.signature_words and signatures is None:
             signatures = self._signatures_for(matrix.astype(self._arena.dtype, copy=False))
-        self._arena.adopt(keys, matrix, signatures, alive=alive)
+        self._arena.adopt(keys, matrix, signatures)
         # Same invalidation signal a compaction sends: row-addressed
         # structures notice the generation change and rebuild on demand.
         self._arena.generation += 1

@@ -11,7 +11,6 @@ dependency-free JSON-over-HTTP server (``python -m repro serve``).
 
 from repro.service.coalesce import QueryCoalescer
 from repro.service.discovery import DiscoveryService
-from repro.service.mpserve import MultiProcessServer, serve_multiprocess
 from repro.service.qcache import QueryResultCache
 from repro.service.rwlock import ReadWriteLock
 from repro.service.server import DiscoveryHTTPServer, make_server, serve
@@ -21,7 +20,6 @@ __all__ = [
     "DiscoveryHTTPServer",
     "DiscoveryService",
     "IndexStats",
-    "MultiProcessServer",
     "QueryCoalescer",
     "QueryResultCache",
     "ReadWriteLock",
@@ -30,5 +28,4 @@ __all__ = [
     "ServiceError",
     "make_server",
     "serve",
-    "serve_multiprocess",
 ]

@@ -66,9 +66,7 @@ from repro.errors import (
     EmptyIndexError,
     NotIndexedError,
     ReproError,
-    RespawnLimitError,
     TableNotFoundError,
-    WorkerCrashError,
 )
 from repro.embedding.base import LRUCache
 from repro.graph.joingraph import JoinGraph
@@ -141,10 +139,17 @@ class DiscoveryService:
         if engine is not None and (config is not None or cache is not None):
             raise ValueError("pass either engine or config/cache, not both")
         self.engine = engine if engine is not None else WarpGate(config, cache=cache)
+        effective = self.engine.config
+        if effective.scoring == "hybrid":
+            # Refuse rather than silently serve plain-cosine rankings.
+            raise ValueError(
+                'DiscoveryService does not apply scoring="hybrid" (its search '
+                "paths skip the engine's scoring stage); call WarpGate.search "
+                'directly or serve with scoring="cosine"'
+            )
         # Durable mutation log: every acknowledged mutation appends one
         # fsync'd WAL record *before* the mutator returns (the ack
         # barrier); see repro.durability.store for the crash-safety story.
-        effective = self.engine.config
         self._store = durable_store
         if self._store is None and effective.durable_dir:
             from repro.durability import DurableIndexStore
@@ -241,11 +246,6 @@ class DiscoveryService:
             raise ServiceError.not_found(str(error)) from error
         except (NotIndexedError, EmptyIndexError) as error:
             raise ServiceError.not_indexed(str(error)) from error
-        except (WorkerCrashError, RespawnLimitError) as error:
-            # A shard worker died mid-request (or its respawn breaker is
-            # open): the pool has already reaped it, so this is a
-            # server-side fault, not a caller mistake.
-            raise ServiceError.internal(str(error)) from error
 
     def _record_mutation(self) -> None:
         """Bump the mutation counter and refresh derived structures."""
@@ -334,8 +334,7 @@ class DiscoveryService:
             return report
 
     def close(self) -> None:
-        """Release engine resources (shard worker processes; idempotent)."""
-        self.engine.close()
+        """Close the durable store's WAL handle, if any (idempotent)."""
         if self._store is not None:
             self._store.close()
 
@@ -1017,14 +1016,9 @@ class DiscoveryService:
             searches=searches,
             mutations=mutations,
             caches=caches,
-            shards=(
-                config.shard_workers
-                if config.shard_workers > 0
-                else config.n_shards
-            ),
+            shards=config.n_shards,
             quantized=config.quantize,
             graph=graph,
-            workers=config.shard_workers,
             durability=self._store.stats() if self._store is not None else None,
             degradation={
                 **self._degradation.snapshot(),

@@ -472,7 +472,6 @@ class DiscoveryHTTPServer(HTTPServer):
         verbose: bool = False,
         workers: int = 32,
         keepalive_idle_s: float = 5.0,
-        reuse_port: bool = False,
         admission_queue_depth: int | None = None,
         max_body_bytes: int = _MAX_BODY_BYTES,
         body_read_timeout_s: float = _BODY_READ_TIMEOUT_S,
@@ -490,11 +489,6 @@ class DiscoveryHTTPServer(HTTPServer):
             raise ValueError(
                 f"body_read_timeout_s must be positive, got {body_read_timeout_s}"
             )
-        # Must be set before super().__init__ binds the socket: the
-        # SO_REUSEPORT flag lets N server processes share one listen
-        # address, with the kernel load-balancing accepts across them
-        # (the multi-process serving front, see repro.service.mpserve).
-        self.allow_reuse_port = reuse_port
         super().__init__(address, _Handler)
         self.service = service
         self.verbose = verbose
@@ -868,7 +862,6 @@ def make_server(
     verbose: bool = False,
     workers: int = 32,
     keepalive_idle_s: float = 5.0,
-    reuse_port: bool = False,
     admission_queue_depth: int | None = None,
     max_body_bytes: int = _MAX_BODY_BYTES,
     body_read_timeout_s: float = _BODY_READ_TIMEOUT_S,
@@ -880,7 +873,6 @@ def make_server(
         verbose=verbose,
         workers=workers,
         keepalive_idle_s=keepalive_idle_s,
-        reuse_port=reuse_port,
         admission_queue_depth=admission_queue_depth,
         max_body_bytes=max_body_bytes,
         body_read_timeout_s=body_read_timeout_s,

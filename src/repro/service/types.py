@@ -264,8 +264,6 @@ class IndexStats:
     shards: int = 1
     quantized: bool = False
     graph: dict[str, object] | None = None
-    #: Shard worker processes behind the query fan-out (0 = in-process).
-    workers: int = 0
     #: Durable-store counters (``None`` when the service is in-memory only).
     durability: dict[str, object] | None = None
     #: Degraded-mode snapshot (tier, recent sheds, effective rerank) —
@@ -288,7 +286,6 @@ class IndexStats:
             "caches": dict(self.caches),
             "shards": self.shards,
             "quantized": self.quantized,
-            "workers": self.workers,
         }
         if self.graph is not None:
             payload["graph"] = dict(self.graph)

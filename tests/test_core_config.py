@@ -88,35 +88,3 @@ class TestWithers:
         config = WarpGateConfig()
         config.with_threshold(0.1)
         assert config.threshold == 0.7
-
-
-class TestWorkerKnobs:
-    def test_defaults_stay_in_process(self):
-        config = WarpGateConfig()
-        assert config.shard_workers == 0
-        assert config.worker_transport == "pipe"
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            WarpGateConfig(shard_workers=-1)
-
-    def test_worker_shard_mismatch_rejected(self):
-        # One worker process owns exactly one shard: a divergent pair is
-        # a configuration contradiction, not something to reconcile.
-        with pytest.raises(ValueError):
-            WarpGateConfig(n_shards=3, shard_workers=2)
-
-    def test_workers_set_shard_count_when_unsharded(self):
-        assert WarpGateConfig(shard_workers=4).shard_workers == 4
-        assert WarpGateConfig(n_shards=4, shard_workers=4).shard_workers == 4
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError):
-            WarpGateConfig(shard_workers=2, worker_transport="carrier-pigeon")
-
-    def test_with_workers(self):
-        config = WarpGateConfig().with_workers(3, transport="shm")
-        assert config.shard_workers == 3
-        assert config.worker_transport == "shm"
-        # Transport persists through a workers-only re-toggle.
-        assert config.with_workers(2).worker_transport == "shm"

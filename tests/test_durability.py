@@ -3,16 +3,12 @@
 The crash-point *matrix* — kill the process at every registered fault
 point and assert recovery restores the acknowledged state — lives in
 ``tests/test_failure_injection.py``; this module pins the component
-contracts that matrix builds on, plus the respawn governor the
-supervisors (procpool, mpserve) use to stop crash loops.
+contracts that matrix builds on.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._util import RespawnGovernor, rng_for
+from repro._util import rng_for
 from repro.core.config import WarpGateConfig
 from repro.core.persistence import load_index_durable, save_index_durable
 from repro.core.warpgate import WarpGate
@@ -37,7 +33,6 @@ from repro.errors import (
     DiscoveryError,
     DurabilityError,
     ManifestError,
-    RespawnLimitError,
     SegmentChecksumError,
     WalCorruptionError,
 )
@@ -435,83 +430,3 @@ class TestServiceDurability:
         assert service.checkpoint() is None
         assert service.durable_store is None
         service.close()
-
-
-class TestRespawnGovernor:
-    def _governor(self, **kwargs):
-        clock = {"t": 0.0}
-        governor = RespawnGovernor(
-            clock=lambda: clock["t"], rng=np.random.default_rng(0), **kwargs
-        )
-        return governor, clock
-
-    def test_backoff_doubles_and_caps(self):
-        governor, _clock = self._governor(
-            base_delay_s=0.1, max_delay_s=0.5, jitter=0.0, max_failures=10
-        )
-        delays = []
-        for _ in range(5):
-            governor.record_failure()
-            delays.append(governor.next_delay_s())
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
-
-    def test_no_delay_when_window_clean(self):
-        governor, _clock = self._governor(jitter=0.0)
-        assert governor.next_delay_s() == 0.0
-
-    def test_jitter_never_shortens_the_delay(self):
-        governor, _clock = self._governor(base_delay_s=0.2, jitter=0.5)
-        governor.record_failure()
-        for _ in range(20):
-            assert 0.2 <= governor.next_delay_s() <= 0.2 * 1.5
-
-    def test_breaker_opens_then_ages_out(self):
-        governor, clock = self._governor(max_failures=3, window_s=30.0, jitter=0.0)
-        for _ in range(3):
-            governor.record_failure()
-        assert not governor.allow()
-        clock["t"] += 31.0
-        assert governor.allow()
-        assert governor.recent_failures == 0
-
-    def test_success_clears_the_window(self):
-        governor, _clock = self._governor(max_failures=2, jitter=0.0)
-        governor.record_failure()
-        governor.record_success()
-        assert governor.allow()
-        assert governor.next_delay_s() == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RespawnGovernor(base_delay_s=2.0, max_delay_s=1.0)
-        with pytest.raises(ValueError):
-            RespawnGovernor(max_failures=0)
-
-
-class TestProcpoolBreaker:
-    def test_respawn_limit_error_when_breaker_open(self):
-        from repro.index.exact import ExactCosineIndex
-        from repro.index.procpool import ProcessShardedIndex
-
-        matrix = rng_for("breaker").standard_normal((8, DIM))
-        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-        pool = ProcessShardedIndex(DIM, lambda: ExactCosineIndex(DIM), n_shards=1)
-        with pool:
-            pool.bulk_load(list(range(8)), matrix)
-            assert pool.query(matrix[0], 3)  # healthy round trip
-            # One strike and the breaker is open: the next death must
-            # surface RespawnLimitError instead of a silent respawn.
-            pool._governors[0] = RespawnGovernor(
-                base_delay_s=0.0, max_delay_s=0.0, max_failures=1, window_s=60.0
-            )
-            (pid,) = pool.worker_pids()
-            os.kill(pid, signal.SIGKILL)
-            deadline = time.time() + 10.0
-            while time.time() < deadline:
-                worker = pool._workers[0]
-                if worker is None or not worker.process.is_alive():
-                    break
-                time.sleep(0.05)
-            with pytest.raises(RespawnLimitError) as excinfo:
-                pool.query(matrix[0], 3)
-            assert excinfo.value.failures == 1

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -49,6 +54,13 @@ class TestSubpackageExports:
         for name in index.__all__:
             assert getattr(index, name) is not None
 
+    def test_service_surface(self):
+        from repro import service
+
+        for name in service.__all__:
+            assert getattr(service, name) is not None
+        assert {"DiscoveryService", "make_server", "serve"} <= set(service.__all__)
+
     def test_storage_surface(self):
         from repro import storage
 
@@ -84,6 +96,23 @@ class TestSubpackageExports:
 
         for name in core.__all__:
             assert getattr(core, name) is not None
+
+
+def test_serving_closure_is_one_process():
+    """Threads in one process is the only execution model: importing the
+    server must not drag in ``multiprocessing`` (numpy, scipy and networkx
+    do not either)."""
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.service.server; "
+            "sys.exit('multiprocessing' in sys.modules)",
+        ],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        timeout=120,
+    )
+    assert completed.returncode == 0
 
 
 class TestDocstrings:

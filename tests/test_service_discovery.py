@@ -85,6 +85,18 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             DiscoveryService(cache=EmbeddingCache(), engine=svc.engine)
 
+    def test_hybrid_scoring_is_refused_not_ignored(self):
+        """The service never runs the engine's scoring stage (ROADMAP item 1)."""
+        from repro.core.warpgate import WarpGate
+
+        hybrid = WarpGateConfig().with_scoring("hybrid")
+        with pytest.raises(ValueError, match="hybrid"):
+            DiscoveryService(hybrid)
+        with pytest.raises(ValueError, match="hybrid"):
+            DiscoveryService(engine=WarpGate(hybrid))
+        with pytest.raises(ValueError, match="hybrid"):
+            LookupService(WarpGate(hybrid))
+
     def test_dropping_every_table_unindexes(self, service):
         for table in ("customers", "vendors", "colors"):
             service.drop_table("db", table)

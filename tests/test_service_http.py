@@ -244,6 +244,17 @@ class TestServerLifecycle:
         server.shutdown()
         server.server_close()
 
+    def test_second_server_cannot_bind_a_served_port(self, toy_warehouse):
+        """One process owns a port: a second bind fails, never shares silently."""
+        first = make_server(self.make_service(toy_warehouse), "127.0.0.1", 0, workers=2)
+        port = first.server_address[1]
+        with first:
+            with pytest.raises(OSError):
+                make_server(
+                    self.make_service(toy_warehouse), "127.0.0.1", port, workers=2
+                )
+        first.server_close()
+
     def test_make_server_only_binds(self, toy_warehouse):
         """No worker threads exist until serving actually starts."""
         service = self.make_service(toy_warehouse)
