@@ -547,14 +547,11 @@ class WarpGate(JoinDiscoverySystem):
     def set_rerank_factor(self, rerank_factor: int) -> None:
         """Retune the index's int8 re-rank breadth on the live quantizer.
 
-        A no-op when the engine is not quantized (or the backend does not
-        support live retuning, e.g. process-sharded workers own their
-        quantizers).  Degraded-mode serving uses this to narrow re-rank
+        A no-op when the engine is not quantized; a sharded engine retunes
+        every shard.  Degraded-mode serving uses this to narrow re-rank
         under overload and restore it on recovery.
         """
-        setter = getattr(self._index, "set_rerank_factor", None)
-        if setter is not None:
-            setter(rerank_factor)
+        self._index.set_rerank_factor(rerank_factor)
 
     def attach_connector(self, connector: WarehouseConnector) -> None:
         """Attach a live connector to a restored index (re-enables search()).

@@ -15,10 +15,11 @@ that with contiguous columnar storage:
   compacts — a stable (order-preserving) rewrite of the live rows that
   bumps ``generation`` so owners rebuild row-addressed structures.
 
-Every query re-ranks with a masked matrix product over the arena instead
-of stacking per-candidate rows, and the batched search path runs one BLAS
-matmul for a whole query block.  :class:`ColumnarIndex` is the shared base
-the three backends (:class:`~repro.index.lsh.SimHashLSHIndex`,
+Every query is *score → candidate mask ∧ floor → select* over the arena
+(:func:`select_topk` is the only top-k cut), and the batched search path
+scores a whole query block in one BLAS matmul.  :class:`ColumnarIndex` is
+the shared base the three backends
+(:class:`~repro.index.lsh.SimHashLSHIndex`,
 :class:`~repro.index.exact.ExactCosineIndex`,
 :class:`~repro.index.pivot.PivotFilterIndex`) build on; it owns the arena
 plus the canonical vector/signature validation, so dimension errors raise
@@ -34,12 +35,45 @@ import numpy as np
 from repro.errors import DimensionMismatchError, EmptyIndexError
 from repro.index.quant import ArenaQuantizer
 
-__all__ = ["ColumnarIndex", "VectorArena"]
+__all__ = ["ColumnarIndex", "VectorArena", "rank_order", "select_topk"]
 
 # Compaction fires when more than this fraction of occupied rows are dead
 # (and the arena is big enough for the rewrite to matter).
 _COMPACT_DEAD_FRACTION = 0.25
 _COMPACT_MIN_ROWS = 32
+
+# A single query scores the whole matrix (dense plan) instead of gathering
+# its candidate rows once the candidates exceed this fraction of the
+# occupied region.  Measured on the 24 000 x 64 float32 arena, one BLAS
+# thread: ``matrix[rows] @ unit`` costs ~40 ns per gathered row,
+# ``matrix @ unit`` ~10 ns per row, and the two plans cross between 0.20
+# and 0.25 (table in DESIGN.md "Index internals").
+_DENSE_PLAN_FRACTION = 0.25
+
+# Largest query block scored as ``matrix @ units.T`` (see ``search_batch``);
+# same arena, same host: 293 vs 557 us per query at 2 queries, 97 vs 103 at
+# 16, 187 vs 107 at 32.
+_TALL_GEMM_MAX_QUERIES = 16
+
+
+def select_topk(scores: np.ndarray, limit: int) -> np.ndarray:
+    """Positions of the ``limit`` largest scores plus every boundary tie.
+
+    The one top-k cut of the index layer: ``np.partition`` finds the
+    ``limit``-th largest score in O(n) and everything ``>=`` it is kept, so
+    a caller that breaks ties on something other than the score (the
+    canonical ``str(key)`` order) still sees every contender.  Positions
+    come back ascending, not ranked.
+    """
+    if scores.size <= limit:
+        return np.arange(scores.size)
+    boundary = np.partition(scores, scores.size - limit)[scores.size - limit]
+    return np.flatnonzero(scores >= boundary)
+
+
+def rank_order(pair: tuple[object, float]) -> tuple[float, str]:
+    """Canonical result order: score descending, then ``str(key)`` ascending."""
+    return -pair[1], str(pair[0])
 
 
 class VectorArena:
@@ -520,8 +554,8 @@ class ColumnarIndex:
     """Shared arena-backed base for the cosine index backends.
 
     Owns the :class:`VectorArena` plus the add/remove/update lifecycle and
-    the batched ranking helpers; subclasses contribute candidate
-    generation (:meth:`_candidate_rows`, :meth:`_candidate_flags`) and any
+    both search paths (:meth:`query`, :meth:`search_batch`); subclasses
+    contribute candidate generation (:meth:`_candidate_mask`) and any
     derived structures via the ``_after_add`` / ``build`` hooks.
     """
 
@@ -782,81 +816,91 @@ class ColumnarIndex:
         units = (queries / safe[:, None]).astype(self._arena.dtype)
         return units, zero
 
-    # -- ranking helpers ----------------------------------------------------------
+    # -- search -------------------------------------------------------------------
+
+    def _candidate_mask(self, unit: np.ndarray, floor: float) -> np.ndarray:
+        """Hook: boolean mask over the occupied rows of this query's candidates.
+
+        The one place a backend's pruning structure meets the read path:
+        both :meth:`query` and :meth:`search_batch` score, AND the scores
+        with this mask and the floor, and select.  Always a subset of
+        ``alive``; the default (exact scan) is ``alive`` itself.
+        """
+        return self._arena.alive
 
     def _assemble(
-        self,
-        rows: np.ndarray,
-        scores: np.ndarray,
-        floor: float,
-        k: int,
-        exclude: object,
+        self, rows: np.ndarray, scores: np.ndarray, k: int, exclude: object
     ) -> list[tuple[object, float]]:
-        """Threshold, exclude, and rank scored rows into ``(key, score)``s.
+        """Rank above-floor scored rows into at most ``k`` ``(key, score)``s.
 
         Ordering is canonical across backends: score descending, then
-        ``str(key)`` ascending to break ties deterministically.
+        ``str(key)`` ascending.  :func:`select_topk` cuts in numpy first, so
+        only ``k`` (+1 for a possible exclusion) rows plus boundary ties
+        ever become Python objects.
         """
-        keep = scores >= floor
-        rows, scores = rows[keep], scores[keep]
-        # Preselect in numpy before touching Python objects: only the top
-        # k(+1 for a possible exclusion) can surface, plus every row tied
-        # with the boundary score so the str(key) tiebreak stays globally
-        # correct.  Without this, a permissive floor (exact backend at
-        # threshold -1) would build and sort n Python tuples per query.
-        limit = k + (1 if exclude is not None else 0)
-        if rows.size > limit:
-            order = np.argsort(-scores, kind="stable")
-            boundary = scores[order[limit - 1]]
-            cutoff = int(np.searchsorted(-scores[order], -boundary, side="right"))
-            order = order[:cutoff]
-            rows, scores = rows[order], scores[order]
-        arena = self._arena
+        top = select_topk(scores, k + (exclude is not None))
+        key_at = self._arena.key_at
         scored = [
-            (arena.key_at(row), float(score))
-            for row, score in zip(rows.tolist(), scores.tolist())
+            (key_at(row), score)
+            for row, score in zip(rows[top].tolist(), scores[top].tolist())
         ]
         if exclude is not None:
             scored = [pair for pair in scored if pair[0] != exclude]
-        scored.sort(key=lambda pair: (-pair[1], str(pair[0])))
+        scored.sort(key=rank_order)
         return scored[:k]
 
-    def _rank_rows(
-        self,
-        unit: np.ndarray,
-        rows: np.ndarray,
-        floor: float,
-        k: int,
-        exclude: object,
+    def _rank(
+        self, unit: np.ndarray, mask: np.ndarray, floor: float, k: int, exclude: object
     ) -> list[tuple[object, float]]:
-        """Exact-cosine re-rank of candidate rows: one gathered matvec.
+        """Exact-cosine top-``k`` of one unit query over the rows in ``mask``.
 
-        With quantization enabled, a large candidate set is first cut to
-        the top ``rerank_factor * k`` by approximate int8 score, so the
-        float32 gather touches a bounded number of rows.
+        Two plans, same answer: a sparse mask gathers its rows and scores
+        only those; past ``_DENSE_PLAN_FRACTION`` of the arena the gather
+        costs more than scoring everything, so the whole matrix is scored
+        and the mask applied to the score vector.  With quantization on,
+        the mask is first cut to the top ``rerank_factor * k`` by int8
+        score, so the float32 gather touches a bounded number of rows.
         """
-        if rows.size == 0:
-            return []
-        if self._quant is not None:
-            limit = self._quant.rerank_factor * k + (1 if exclude is not None else 0)
-            rows = self._quant.preselect(self._arena, unit, rows, limit)
+        arena, quant = self._arena, self._quant
+        if quant is None and np.count_nonzero(mask) > _DENSE_PLAN_FRACTION * arena.size:
+            scores = arena.matrix @ unit
+            rows = np.flatnonzero(mask & (scores >= floor))
+            return self._assemble(rows, scores[rows], k, exclude)
+        rows = np.flatnonzero(mask)
+        if quant is not None:
+            limit = quant.rerank_factor * k + (exclude is not None)
+            rows = quant.preselect(arena, unit, rows, limit)
+        return self._rank_gathered(unit, rows, floor, k, exclude)
+
+    def _rank_gathered(
+        self, unit: np.ndarray, rows: np.ndarray, floor: float, k: int, exclude: object
+    ) -> list[tuple[object, float]]:
+        """Gather ``rows``, score them exactly, apply the floor, rank."""
         scores = self._arena.matrix[rows] @ unit
-        return self._assemble(rows, scores, floor, k, exclude)
+        keep = scores >= floor
+        return self._assemble(rows[keep], scores[keep], k, exclude)
 
-    def _pair_filter(
-        self, units: np.ndarray, query_ids: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        """Candidacy check for above-threshold (query, row) pairs.
+    def query(
+        self,
+        vector: np.ndarray,
+        k: int,
+        *,
+        threshold: float | None = None,
+        exclude: object = None,
+    ) -> list[tuple[object, float]]:
+        """Top-``k`` keys by exact cosine among the backend's candidates.
 
-        The batched path scores first (one GEMM) and generates candidates
-        second: only pairs that already cleared the cosine floor are asked
-        whether the backend's pruning structure would have surfaced them.
-        A lossless backend (exact scan, pivot filter) accepts every pair;
-        LSH verifies band-key collisions.  Because per-query search
-        computes ``candidates ∧ above-floor`` and this path computes
-        ``above-floor ∧ candidates``, the two orders select the same set.
+        ``threshold`` overrides the index default; ``exclude`` drops one key
+        (conventionally the query column itself).  A zero query returns
+        ``[]``.  Raises :class:`~repro.errors.EmptyIndexError` on an empty
+        index.
         """
-        return np.ones(query_ids.shape[0], dtype=bool)
+        self._check_query(k)
+        unit = self._arena.coerce_unit(vector)
+        if unit is None:
+            return []
+        floor = self.threshold if threshold is None else threshold
+        return self._rank(unit, self._candidate_mask(unit, floor), floor, k, exclude)
 
     def search_batch(
         self,
@@ -869,22 +913,23 @@ class ColumnarIndex:
         """Batched top-``k``: one matrix product for the whole query block.
 
         Semantically identical to calling :meth:`query` once per row of
-        ``queries`` (same result set, same scores up to the shared
-        ``float32`` arithmetic, same ordering), but the exact re-ranking
-        runs as a single ``(n_queries × dim) @ (dim × n_rows)`` BLAS GEMM
-        instead of per-query gathered matvecs, thresholding happens in one
-        vectorized pass, and candidate generation inverts into a cheap
-        per-pair verification of the few above-floor survivors
-        (:meth:`_pair_filter`) — no per-query bucket probing at all.
+        ``queries`` (same result set, same ordering, scores equal up to
+        float32 reduction order): the scoring runs as a single
+        ``(n_queries × dim) @ (dim × n_rows)`` BLAS GEMM, then each query's
+        score row goes through the same *mask ∧ floor → select* steps as
+        :meth:`query`'s dense plan — its own :meth:`_candidate_mask`, one
+        vectorized compare, one :func:`select_topk`.  Transient memory is
+        the ``n_queries × n_rows`` score block at any floor.
+
+        With quantization on, the block is scored on the int8 code mirror,
+        the floor relaxed by the quantizer's slack so above-floor rows
+        survive their quantization error, and each query's top
+        ``rerank_factor * k`` survivors are re-scored exactly in float32;
+        the true floor applies to exact scores only.
 
         ``excludes`` optionally drops one key per query (parallel list).
         Raises :class:`~repro.errors.EmptyIndexError` on an empty index and
         :class:`~repro.errors.DimensionMismatchError` on a shape mismatch.
-
-        Sized for thresholded serving: the pair expansion holds one entry
-        per above-floor (query, row) pair, so a permissive floor (e.g.
-        ``threshold=-1``) degrades to O(q·n) transient memory — correct,
-        but the per-query path is the better tool there.
         """
         self._check_query(k)
         units, zero = self._coerce_queries(queries)
@@ -896,58 +941,31 @@ class ColumnarIndex:
         floor = self.threshold if threshold is None else threshold
         if n_queries == 0:
             return []
-        arena = self._arena
-        # The batched re-rank: one GEMM over the arena, then one
-        # vectorized thresholding pass.  Scoring dead or non-candidate
-        # rows is wasted work but branch-free; liveness, zero-query, and
-        # candidacy masks are applied per surviving *pair* (there are few
-        # of those), which keeps results identical to per-query candidate
-        # generation without another full-matrix pass.
-        #
-        # With quantization enabled, the full-matrix pass runs on the int8
-        # code mirror instead (approximate scores), the floor is relaxed
-        # by the quantizer's slack so above-floor pairs survive their
-        # quantization error, and each query's top ``rerank_factor * k``
-        # survivors are re-scored exactly in float32 before assembly —
-        # the true floor then applies to exact scores only.
-        quant = self._quant
+        arena, quant = self._arena, self._quant
+        generation_floor = floor
         if quant is not None:
-            scores = quant.score_block(arena, units)
-            generation_floor = floor - quant.floor_slack
+            block = quant.score_block(arena, units)
+            generation_floor -= quant.floor_slack
+        elif n_queries <= _TALL_GEMM_MAX_QUERIES:
+            # Same GEMM either way round: BLAS runs the tall orientation
+            # ~2x faster on a small block, but its per-query scores come
+            # out strided, which costs more than that past ~16 queries.
+            block = (arena.matrix @ units.T).T
         else:
-            scores = units @ arena.matrix.T
-            generation_floor = floor
-        # flatnonzero over the raveled (contiguous) score block is several
-        # times faster than np.nonzero on the 2-D boolean; the flat order
-        # is row-major, so query_ids comes out sorted for the split below.
-        flat = np.flatnonzero(scores.ravel() >= generation_floor)
-        query_ids, rows = np.divmod(flat, scores.shape[1])
-        if query_ids.size:
-            keep = arena.alive[rows]
-            if zero.any():
-                keep &= ~zero[query_ids]
-            query_ids, rows = query_ids[keep], rows[keep]
-        if query_ids.size:
-            candidate = self._pair_filter(units, query_ids, rows)
-            query_ids, rows = query_ids[candidate], rows[candidate]
-        kept_scores = scores[query_ids, rows]
-        # query_ids is sorted (row-major flat order); slice each query's
-        # run without another pass.
-        bounds = np.searchsorted(query_ids, np.arange(n_queries + 1))
+            block = units @ arena.matrix.T
         results: list[list[tuple[object, float]]] = []
-        for query in range(n_queries):
-            start, stop = int(bounds[query]), int(bounds[query + 1])
+        for query, unit in enumerate(units):
+            if zero[query]:
+                results.append([])
+                continue
             exclude = excludes[query] if excludes is not None else None
-            query_rows = rows[start:stop]
-            query_scores = kept_scores[start:stop]
-            if quant is not None:
-                limit = quant.rerank_factor * k + (1 if exclude is not None else 0)
-                if query_rows.size > limit:
-                    top = np.argpartition(-query_scores, limit - 1)[:limit]
-                    query_rows = query_rows[top]
-                if query_rows.size:
-                    query_scores = arena.matrix[query_rows] @ units[query]
-            results.append(
-                self._assemble(query_rows, query_scores, floor, k, exclude)
-            )
+            scores = block[query]
+            mask = self._candidate_mask(unit, floor)
+            rows = np.flatnonzero(mask & (scores >= generation_floor))
+            if quant is None:
+                results.append(self._assemble(rows, scores[rows], k, exclude))
+                continue
+            limit = quant.rerank_factor * k + (exclude is not None)
+            rows = rows[select_topk(scores[rows], limit)]
+            results.append(self._rank_gathered(unit, rows, floor, k, exclude))
         return results

@@ -3,13 +3,14 @@
 The verification arm for LSH correctness tests and the baseline for the
 block-and-verify comparison: always correct, O(n·dim) per query.  Vectors
 live in the shared :class:`~repro.index.arena.VectorArena` (contiguous
-``float32`` rows), so a query is one masked matrix-vector product and a
-batch is one GEMM — there is no per-vector Python storage to stack.
+``float32`` rows) and every live row is a candidate — the inherited
+:meth:`~repro.index.arena.ColumnarIndex._candidate_mask` is the alive mask
+— so a query is one masked matrix-vector product and a batch is one GEMM.
+With quantization enabled the per-query scan runs on the int8 code mirror
+and only the top ``rerank_factor * k`` survivors are scored in float32.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.index.arena import ColumnarIndex
 
@@ -17,7 +18,7 @@ __all__ = ["ExactCosineIndex"]
 
 
 class ExactCosineIndex(ColumnarIndex):
-    """Exact cosine top-k over named unit vectors."""
+    """Exact cosine top-k over named unit vectors (no default floor)."""
 
     threshold = -1.0
 
@@ -28,31 +29,3 @@ class ExactCosineIndex(ColumnarIndex):
 
     def __repr__(self) -> str:
         return f"ExactCosineIndex(n={len(self)}, dim={self.dim})"
-
-    def query(
-        self,
-        vector: np.ndarray,
-        k: int,
-        *,
-        threshold: float = -1.0,
-        exclude: object = None,
-    ) -> list[tuple[object, float]]:
-        """Exact top-``k`` by cosine, optionally thresholded.
-
-        One masked matvec over the arena: every occupied row is scored,
-        tombstoned rows are dropped by the alive mask, and survivors are
-        ranked score-descending (ties broken by ``str(key)``).  With
-        quantization enabled the full matvec runs on the int8 code mirror
-        instead (via ``_rank_rows``' preselect) and only the top
-        ``rerank_factor * k`` survivors are scored in float32.
-        """
-        self._check_query(k)
-        unit = self._arena.coerce_unit(vector)
-        if unit is None:
-            return []
-        arena = self._arena
-        if self._quant is not None:
-            return self._rank_rows(unit, arena.live_rows(), threshold, k, exclude)
-        scores = arena.matrix @ unit
-        rows = np.flatnonzero(arena.alive & (scores >= threshold))
-        return self._assemble(rows, scores[rows], threshold, k, exclude)

@@ -6,10 +6,13 @@ The index stores every vector's SimHash signature as ``n_bands`` packed
 matrix plus one contiguous ``uint64`` signature matrix — no per-vector
 Python objects).  Vectors sharing any full band key with the query become
 candidates; candidates are then re-ranked by exact cosine on the stored
-vectors — a single gathered matrix product, or one GEMM for a whole query
-block via :meth:`search_batch` — and filtered by the similarity threshold
-(the paper sets 0.7), so the LSH layer only buys *speed*, never changes
-the ranking measure.
+vectors — a gathered matrix product, a full one when the bucket union
+covers much of the arena, or one GEMM for a whole query block via
+:meth:`search_batch` — and filtered by the similarity threshold (the paper
+sets 0.7), so the LSH layer only buys *speed*, never changes the ranking
+measure.  The backend's whole contribution to the read path is
+:meth:`SimHashLSHIndex._candidate_mask`; ``query`` and ``search_batch``
+are inherited from :class:`~repro.index.arena.ColumnarIndex`.
 
 Deletion tombstones the arena row in O(1); bucket postings keep pointing
 at dead rows until the arena's threshold-triggered compaction, after which
@@ -195,71 +198,29 @@ class SimHashLSHIndex(ColumnarIndex):
 
     # -- search -------------------------------------------------------------------
 
-    def _candidate_rows(
-        self, state: _BucketState, band_keys: list[int]
-    ) -> np.ndarray:
+    def _candidate_mask(self, unit: np.ndarray, floor: float) -> np.ndarray:
         """Live rows sharing at least one band key with the query.
 
-        Bucket posting arrays are concatenated and deduplicated through a
-        flag vector (one vectorized pass over the occupied region), then
-        intersected with the alive mask so tombstoned rows never surface.
+        The query's bucket posting arrays are scattered into one flag
+        vector (which deduplicates them) and intersected with the alive
+        mask, so tombstoned rows never surface.
         """
-        arena = self._arena
-        hits = [
-            array
-            for band, band_key in enumerate(band_keys)
-            if (array := state.bucket_array(band, band_key)) is not None
-        ]
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        flags = np.zeros(arena.size, dtype=bool)
-        flags[np.concatenate(hits)] = True
-        flags &= arena.alive
-        return np.flatnonzero(flags)
-
-    def query(
-        self,
-        vector: np.ndarray,
-        k: int,
-        *,
-        threshold: float | None = None,
-        exclude: object = None,
-    ) -> list[tuple[object, float]]:
-        """Top-``k`` keys by exact cosine among LSH candidates.
-
-        ``threshold`` overrides the index default; ``exclude`` drops one key
-        (conventionally the query column itself).  Raises
-        :class:`~repro.errors.EmptyIndexError` on an empty index.
-        """
-        self._check_query(k)
-        unit = self._arena.coerce_unit(vector)
-        if unit is None:
-            return []
-        floor = self.threshold if threshold is None else threshold
         state = self._synced_buckets()
-        band_keys = self._signature_for(unit).tolist()
-        candidates = self._candidate_rows(state, band_keys)
-        self._last_candidate_count = int(candidates.size)
-        return self._rank_rows(unit, candidates, floor, k, exclude)
-
-    def _pair_filter(
-        self, units: np.ndarray, query_ids: np.ndarray, rows: np.ndarray
-    ) -> np.ndarray:
-        # Batched candidate generation, inverted: the shared GEMM +
-        # threshold pass has already reduced the block to a small set of
-        # above-floor (query, row) pairs; candidacy is then one vectorized
-        # band-key compare per pair against the packed signature matrix —
-        # a pair survives iff the pair shares at least one full band,
-        # exactly the bucket-probe criterion of the per-query path.
-        packed = self._signatures_for(units)
-        return np.any(
-            self._arena.signatures[rows] == packed[query_ids], axis=1
-        )
+        flags = np.zeros(self._arena.size, dtype=bool)
+        for band, band_key in enumerate(self._signature_for(unit).tolist()):
+            array = state.bucket_array(band, band_key)
+            if array is not None:
+                flags[array] = True
+        flags &= self._arena.alive
+        self._last_candidate_count = int(np.count_nonzero(flags))
+        return flags
 
     @property
     def last_candidate_count(self) -> int:
-        """Candidate-set size of the most recent query (probe selectivity).
+        """Live rows in the bucket union of the most recent probe.
 
+        Probe selectivity before the cosine floor, whichever plan scored
+        it; after a ``search_batch`` it describes the block's last query.
         Diagnostics only and not synchronized: under concurrent queries it
         reflects whichever query wrote last.
         """

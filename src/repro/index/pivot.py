@@ -127,40 +127,21 @@ class PivotFilterIndex(ColumnarIndex):
         if self._stale():
             self.build()
 
-    def _survivors(self, unit: np.ndarray, radius: float) -> np.ndarray:
-        """Live rows whose triangle-inequality lower bound is within radius."""
+    def _candidate_mask(self, unit: np.ndarray, floor: float) -> np.ndarray:
+        """Live rows whose triangle-inequality lower bound is within radius.
+
+        Lossless: a row at cosine ``>= floor`` is never masked out, so the
+        filter only spares the gathered plan some verification work.
+        """
+        self._ensure_built()
         assert self._pivots is not None and self._pivot_distances is not None
         query_to_pivots = np.linalg.norm(self._pivots - unit, axis=1)
         lower_bounds = np.abs(
             self._pivot_distances - query_to_pivots[None, :]
         ).max(axis=1)
-        return np.flatnonzero(self._arena.alive & (lower_bounds <= radius))
-
-    # -- search -------------------------------------------------------------------
-
-    def query(
-        self,
-        vector: np.ndarray,
-        k: int,
-        *,
-        threshold: float | None = None,
-        exclude: object = None,
-    ) -> list[tuple[object, float]]:
-        """Exact thresholded top-``k``; prunes with pivot lower bounds first."""
-        self._check_query(k)
-        unit = self._arena.coerce_unit(vector)
-        if unit is None:
-            return []
-        self._ensure_built()
-        floor = self.threshold if threshold is None else threshold
-        survivors = self._survivors(unit, cosine_to_radius(floor))
-        self.last_verified_count = int(survivors.size)
-        return self._rank_rows(unit, survivors, floor, k, exclude)
-
-    # search_batch: the pivot filter is lossless (it only skips
-    # verification work, never drops a true result), so the inherited
-    # GEMM-then-threshold path already returns exactly the per-query
-    # result set; no _pair_filter override is needed.
+        mask = self._arena.alive & (lower_bounds <= cosine_to_radius(floor))
+        self.last_verified_count = int(np.count_nonzero(mask))
+        return mask
 
     @property
     def prune_rate(self) -> float:

@@ -19,7 +19,8 @@ its own arena, buckets, pivot tables, tombstones, and compaction schedule
   hosts) with the calling thread scoring the last shard itself.
 * **top-k merge**: each shard returns its own exact top-k above the same
   floor, so the global top-k is a subset of the union; the merge selects
-  it with a single ``np.argpartition`` pass plus the canonical
+  it with the index layer's one top-k kernel
+  (:func:`~repro.index.arena.select_topk`) plus the canonical
   (score desc, ``str(key)`` asc) tie-break — results are *identical* to a
   1-shard index over the same corpus (pinned by property tests across
   all three backends).
@@ -43,6 +44,7 @@ import numpy as np
 
 from repro._util import stable_uint64
 from repro.errors import DimensionMismatchError, EmptyIndexError
+from repro.index.arena import rank_order, select_topk
 
 __all__ = ["ShardedIndex"]
 
@@ -348,23 +350,18 @@ class ShardedIndex:
     def _merge_topk(
         per_shard: list[list[tuple[object, float]]], k: int
     ) -> list[tuple[object, float]]:
-        """Global top-k from per-shard top-k lists (single argpartition pass).
+        """Global top-k from per-shard top-k lists.
 
         Every global top-k entry is inside its own shard's top-k, so the
-        union is a superset; selection keeps all entries tied with the
-        boundary score so the canonical ``str(key)`` tie-break stays
-        globally correct.
+        union is a superset; :func:`~repro.index.arena.select_topk` keeps
+        all entries tied with the boundary score, so the canonical
+        ``str(key)`` tie-break stays globally correct.
         """
         merged = [pair for part in per_shard for pair in part]
         if len(merged) > k:
-            scores = np.fromiter(
-                (score for _key, score in merged), dtype=np.float64, count=len(merged)
-            )
-            top = np.argpartition(-scores, k - 1)
-            boundary = scores[top[k - 1]]
-            keep = np.flatnonzero(scores >= boundary)
-            merged = [merged[int(position)] for position in keep]
-        merged.sort(key=lambda pair: (-pair[1], str(pair[0])))
+            scores = np.array([score for _key, score in merged])
+            merged = [merged[position] for position in select_topk(scores, k).tolist()]
+        merged.sort(key=rank_order)
         return merged[:k]
 
     def query(

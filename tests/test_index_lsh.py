@@ -115,6 +115,31 @@ class TestQuery:
         index.query(vector, 1)
         assert index.last_candidate_count >= 1
 
+    def test_candidate_count_is_the_live_bucket_union_not_the_above_floor_rows(self):
+        """``query`` and ``search_batch`` both report it (both scoring plans:
+        ``test_index_select.py``)."""
+        matrix = np.stack([random_unit(16, key) for key in range(200)])
+        index = SimHashLSHIndex(16, n_bits=32, n_bands=8, threshold=0.95)
+        index.bulk_load(list(range(200)), matrix)
+        for key in range(30):
+            index.remove(key)
+        queries = matrix[100:103]
+        wanted = []
+        for query in queries:
+            shares_band = np.any(
+                index.arena.signatures == index._signature_for(query), axis=1
+            )
+            wanted.append(int(np.count_nonzero(shares_band & index.arena.alive)))
+        # The floor keeps one row per query; the union holds many more, and
+        # is neither empty nor the whole index.
+        assert all(1 < count < 170 for count in wanted)
+        for query, count in zip(queries, wanted):
+            assert len(index.query(query, 5)) == 1
+            assert index.last_candidate_count == count
+        for block in range(1, 4):  # a batch leaves its last query's count
+            index.search_batch(queries[:block], 5)
+            assert index.last_candidate_count == wanted[block - 1]
+
 
 class TestRecallAgainstExact:
     def test_high_recall_on_near_neighbors(self):
