@@ -26,7 +26,7 @@ from repro.eval.perf import (
 # Every stage except the quality matrix: the per-stage tests below pin
 # perf contracts and should not pay for a (deterministic) quality run
 # each — that stage has its own tests in this module.
-_PERF_STAGES = ("results", "embed", "shard", "quant", "artifact", "serve", "graph")
+_PERF_STAGES = ("results", "embed", "artifact", "serve", "graph")
 
 
 def test_fast_profile_report_is_valid(tmp_path):
@@ -44,8 +44,6 @@ def test_stage_rows_record_warmup_runs():
         profile="fast",
         stages=_PERF_STAGES,
         sizes=(200, 300, 400),
-        shard_sizes=(300,),
-        quant_sizes=(300,),
         artifact_sizes=(300,),
         serve_sizes=(300,),
         serve_clients=2,
@@ -58,7 +56,7 @@ def test_stage_rows_record_warmup_runs():
         dim=32,
         batch_size=8,
     )
-    for stage in ("results", "embed", "shard", "quant", "artifact", "serve", "graph"):
+    for stage in _PERF_STAGES:
         for row in report[stage]:
             assert row["warmup_runs"] >= 1, (stage, row)
 
@@ -69,8 +67,6 @@ def test_serve_stage_reports_engine_throughput():
         profile="fast",
         stages=_PERF_STAGES,
         sizes=(500, 1_000, 2_000),
-        shard_sizes=(500,),
-        quant_sizes=(500,),
         artifact_sizes=(500,),
         serve_sizes=(2_000,),
         serve_clients=8,
@@ -111,57 +107,12 @@ def test_batched_search_amortizes(tmp_path):
     assert 0.0 < largest["candidate_fraction"] < 1.0
 
 
-def test_shard_stage_merges_exactly(tmp_path):
-    """Sharded batched search returns result lists identical to 1-shard."""
-    report = run_perf_suite(
-        profile="fast",
-        stages=_PERF_STAGES,
-        sizes=(500, 1_000, 2_000),
-        shard_sizes=(2_000,),
-        quant_sizes=(1_000,),
-        artifact_sizes=(500,),
-        serve_sizes=(),
-        graph_sizes=(),
-        repeats=1,
-        embed_sizes=(500,),
-        embed_repeats=1,
-        stage_repeats=1,
-    )
-    row = report["shard"][-1]
-    assert row["n_shards"] == 4
-    assert row["merge_equal_fraction"] == 1.0
-    assert row["batch_ms_sharded"] > 0.0
-
-
-def test_quant_stage_recall_meets_bar(tmp_path):
-    """Int8 + exact re-rank holds recall@k even at smoke scale."""
-    report = run_perf_suite(
-        profile="fast",
-        stages=_PERF_STAGES,
-        sizes=(500, 1_000, 2_000),
-        shard_sizes=(500,),
-        quant_sizes=(2_000,),
-        artifact_sizes=(500,),
-        serve_sizes=(),
-        graph_sizes=(),
-        repeats=1,
-        embed_sizes=(500,),
-        embed_repeats=1,
-        stage_repeats=1,
-    )
-    row = report["quant"][-1]
-    assert row["recall_at_k"] >= 0.98
-    assert row["bytes_float32"] == 4 * row["bytes_int8"]
-
-
 def test_artifact_stage_mmap_load_wins(tmp_path):
     """Format-3 mmap cold load beats the compressed format-2 load."""
     report = run_perf_suite(
         profile="fast",
         stages=_PERF_STAGES,
         sizes=(500, 1_000, 2_000),
-        shard_sizes=(500,),
-        quant_sizes=(500,),
         artifact_sizes=(2_000,),
         serve_sizes=(),
         graph_sizes=(),
@@ -181,8 +132,6 @@ def test_history_appends_one_line_per_run(tmp_path):
         profile="fast",
         stages=_PERF_STAGES,
         sizes=(200, 300, 400),
-        shard_sizes=(300,),
-        quant_sizes=(300,),
         artifact_sizes=(300,),
         serve_sizes=(300,),
         serve_clients=2,
@@ -203,8 +152,6 @@ def test_history_appends_one_line_per_run(tmp_path):
     entry = json.loads(lines[0])
     assert entry["n_columns_max"] == 400
     assert "timestamp" in entry and "git_sha" in entry
-    assert isinstance(entry["shard_speedup"], (int, float))
-    assert isinstance(entry["quant_recall_at_k"], (int, float))
     assert isinstance(entry["serve_qps_engine"], (int, float))
     assert isinstance(entry["serve_coalesced_speedup"], (int, float))
     assert isinstance(entry["graph_incremental_speedup"], (int, float))
@@ -224,8 +171,6 @@ def test_graph_stage_incremental_beats_full(tmp_path):
         profile="fast",
         stages=_PERF_STAGES,
         sizes=(500, 1_000, 2_000),
-        shard_sizes=(500,),
-        quant_sizes=(500,),
         artifact_sizes=(500,),
         serve_sizes=(),
         graph_sizes=(2_000,),

@@ -186,14 +186,13 @@ class DegradationPolicy:
     one is timestamped into a sliding window.  The window drives a
     three-tier state machine:
 
-    * **tier 0 (normal)** — full-fidelity service;
+    * **tier 0 (normal)** — nothing capped;
     * **tier 1 (degraded)** — sustained shedding
-      (``>= shed_threshold`` sheds inside ``window_s``): consumers
-      should shed expensive work first (reduced quantization
-      ``rerank_factor``, multi-hop path queries capped to one hop)
-      while cache hits keep answering at full fidelity;
-    * **tier 2 (critical)** — ``>= 2 * shed_threshold`` sheds: tier-1
-      downshifts plus a not-ready readiness signal, so load balancers
+      (``>= shed_threshold`` sheds inside ``window_s``): multi-hop
+      path queries are capped to one hop (:meth:`max_hops_cap`);
+      searches answer exactly as at tier 0;
+    * **tier 2 (critical)** — ``>= 2 * shed_threshold`` sheds: the
+      tier-1 cap plus a not-ready readiness signal, so load balancers
       drain the replica instead of feeding the collapse.
 
     Escalation is immediate; **recovery is hysteretic**: the policy
@@ -286,19 +285,6 @@ class DegradationPolicy:
     def is_degraded(self) -> bool:
         """True at any tier above normal."""
         return self.tier() > self.TIER_NORMAL
-
-    def rerank_factor_for(self, base: int) -> int:
-        """The quantization re-rank factor to run at the current tier.
-
-        Tier 1 halves the configured factor; tier 2 drops to the floor
-        of 1 (approximate-order results, cheapest legal probe).
-        """
-        tier = self.tier()
-        if tier == self.TIER_NORMAL:
-            return base
-        if tier == self.TIER_DEGRADED:
-            return max(1, base // 2)
-        return 1
 
     def max_hops_cap(self) -> int | None:
         """Hop cap for path queries (``None`` = uncapped, tiers > 0 = 1)."""

@@ -73,8 +73,6 @@ def _config_from_args(args: argparse.Namespace) -> WarpGateConfig:
         threshold=args.threshold,
         sample_size=args.sample_size,
         model_name=args.model,
-        n_shards=getattr(args, "shards", 1),
-        quantize=getattr(args, "quantize", False),
         coalesce=not getattr(args, "no_coalesce", False),
         coalesce_max_batch=getattr(args, "max_batch", 32),
         coalesce_max_wait_us=getattr(args, "max_wait_us", 500),
@@ -303,44 +301,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 ["columns", "seq cols/s", "batch cols/s", "speedup", "cache hit %"],
                 embed_rows,
                 title="Embedding throughput (sequential vs batched encode)",
-            )
-        )
-    shard_rows = [
-        [
-            row["n_columns"],
-            row["n_shards"],
-            f"{row['batch_ms_single']:.1f}",
-            f"{row['batch_ms_sharded']:.1f}",
-            f"{row['shard_speedup']:.2f}x",
-            f"{row['merge_equal_fraction']:.0%}",
-        ]
-        for row in report["shard"]
-    ]
-    if shard_rows:
-        print(
-            render_table(
-                ["columns", "shards", "1-arena ms", "sharded ms", "speedup", "merge ="],
-                shard_rows,
-                title=f"Sharded search ({report['environment']['cpus']} cpu core(s))",
-            )
-        )
-    quant_rows = [
-        [
-            row["n_columns"],
-            f"{row['batch_ms_float32']:.1f}",
-            f"{row['batch_ms_int8']:.1f}",
-            f"{row['quant_speedup']:.2f}x",
-            f"{row['recall_at_k']:.1%}",
-            f"{row['bytes_float32'] // max(1, row['bytes_int8'])}x",
-        ]
-        for row in report["quant"]
-    ]
-    if quant_rows:
-        print(
-            render_table(
-                ["columns", "f32 ms", "int8 ms", "speedup", "recall@k", "mem"],
-                quant_rows,
-                title="Int8 candidate scoring + exact re-rank (exact backend)",
             )
         )
     artifact_rows = [
@@ -656,17 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=available_models(),
             help="embedding model",
         )
-        sub.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            help="index partitions searched in parallel (1 = single arena)",
-        )
-        sub.add_argument(
-            "--quantize",
-            action="store_true",
-            help="score candidates on int8 codes with exact float32 re-rank",
-        )
 
     discover = subparsers.add_parser(
         "discover", help="find joinable columns in a directory of CSV files"
@@ -865,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stages",
         default="",
         help="comma-separated subset of stages to run (default: all); "
-        "choices: results, embed, shard, quant, artifact, serve, overload, "
+        "choices: results, embed, artifact, serve, overload, "
         "graph, durability, quality; subset runs skip the history append",
     )
     bench.add_argument("--dim", type=int, default=256, help="embedding dimensionality")

@@ -17,9 +17,15 @@ _SEARCH_BACKENDS = ("lsh", "exact", "pivot")
 _SCORING_MODES = ("cosine", "hybrid")
 _AGGREGATIONS = ("mean", "tfidf")
 _SAMPLING_STRATEGIES = ("head", "uniform", "reservoir", "distinct")
-_SHARD_PLACEMENTS = ("hash", "round_robin")
 # Fields a pre-removal artifact header or durable MANIFEST still carries.
-_RETIRED_KEYS = ("shard_workers", "worker_transport")
+_RETIRED_KEYS = (
+    "shard_workers",
+    "worker_transport",
+    "n_shards",
+    "shard_placement",
+    "quantize",
+    "rerank_factor",
+)
 _FSYNC_POLICIES = ("always", "never")
 
 
@@ -54,22 +60,6 @@ class WarpGateConfig:
         Columns loaded + encoded + appended per chunk during corpus
         indexing; bounds the build's working set so arbitrarily large
         corpora stream through constant memory.
-    n_shards:
-        Index partitions (see :class:`repro.index.ShardedIndex`); 1 keeps
-        the single-arena engine, >1 fans searches out across per-shard
-        arenas in parallel and keeps mutation/compaction shard-local.
-    shard_placement:
-        ``hash`` (stable hash of table identity — table columns colocate)
-        or ``round_robin`` (exact balance).
-    quantize:
-        Score candidates on int8 codes (4x smaller scoring set) and
-        re-rank the survivors exactly in float32
-        (see :class:`repro.index.ArenaQuantizer`).
-    rerank_factor:
-        Quantization recall knob: exact-re-rank the top
-        ``rerank_factor * k`` survivors per query.  Higher = better
-        recall, more float32 work (int8 recall@10 ≥ 0.98 vs full float32
-        at the default; see BENCH_index.json's ``quant`` stage).
     coalesce:
         Collect concurrent serving requests into micro-batches executed
         through the index's batched search path (see
@@ -127,9 +117,9 @@ class WarpGateConfig:
         GEMM path.  0 (default) disables deadlines.
     degrade_shed_threshold:
         Admission-control sheds inside ``degrade_window_s`` that push the
-        service into degraded tier 1 (reduced ``rerank_factor``, path
-        queries capped to one hop); twice the threshold reaches tier 2
-        (additionally reported not-ready by ``GET /readyz``).
+        service into degraded tier 1 (path queries capped to one hop);
+        twice the threshold reaches tier 2 (additionally reported
+        not-ready by ``GET /readyz``).
     degrade_window_s:
         Sliding window (seconds) over which sheds are counted.
     degrade_recovery_s:
@@ -152,10 +142,6 @@ class WarpGateConfig:
     numeric_profile_weight: float = 0.3
     default_k: int = 10
     index_chunk_size: int = 512
-    n_shards: int = 1
-    shard_placement: str = "hash"
-    quantize: bool = False
-    rerank_factor: int = 4
     coalesce: bool = True
     coalesce_max_batch: int = 32
     coalesce_max_wait_us: int = 500
@@ -197,17 +183,6 @@ class WarpGateConfig:
         if self.index_chunk_size <= 0:
             raise ValueError(
                 f"index_chunk_size must be positive, got {self.index_chunk_size}"
-            )
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.shard_placement not in _SHARD_PLACEMENTS:
-            raise ValueError(
-                f"unknown shard_placement {self.shard_placement!r}; "
-                f"choose from {_SHARD_PLACEMENTS}"
-            )
-        if self.rerank_factor < 1:
-            raise ValueError(
-                f"rerank_factor must be >= 1, got {self.rerank_factor}"
             )
         if self.coalesce_max_batch < 1:
             raise ValueError(
@@ -265,11 +240,10 @@ class WarpGateConfig:
     def from_saved(cls, saved: dict) -> "WarpGateConfig":
         """Rebuild the config stored in an artifact header or MANIFEST.
 
-        Today's constructor, minus the two retired process-worker keys
-        that artifacts written before their removal still carry.  A
-        store saved under ``shard_workers=N`` restores with its saved
-        ``n_shards``; the flat payload re-partitions on load as it
-        always has.
+        Today's constructor, minus the retired process-worker, shard
+        and int8 keys that artifacts written before their removal still
+        carry.  The payload was always saved flat in float32, so any such
+        store restores into the one arena with exact scoring.
         """
         return cls(
             **{key: value for key, value in saved.items() if key not in _RETIRED_KEYS}
@@ -294,30 +268,6 @@ class WarpGateConfig:
     def with_threshold(self, threshold: float) -> "WarpGateConfig":
         """Copy of this config with a different LSH threshold."""
         return replace(self, threshold=threshold)
-
-    def with_sharding(
-        self, n_shards: int, placement: str | None = None
-    ) -> "WarpGateConfig":
-        """Copy of this config with a different shard layout."""
-        return replace(
-            self,
-            n_shards=n_shards,
-            shard_placement=(
-                placement if placement is not None else self.shard_placement
-            ),
-        )
-
-    def with_quantization(
-        self, quantize: bool = True, rerank_factor: int | None = None
-    ) -> "WarpGateConfig":
-        """Copy of this config with int8 candidate scoring toggled."""
-        return replace(
-            self,
-            quantize=quantize,
-            rerank_factor=(
-                rerank_factor if rerank_factor is not None else self.rerank_factor
-            ),
-        )
 
     def with_scoring(
         self,

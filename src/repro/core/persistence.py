@@ -20,9 +20,7 @@ Format history
   resynchronization, so a cold process maps a multi-GB index in
   milliseconds — O(refs), independent of ``dim`` — and pages vectors in
   lazily as queries touch them.  ``compress=True`` opts back into
-  deflate (smaller file, in-memory load).  Sharded engines
-  (``config.n_shards > 1``) save as one flat payload and re-partition on
-  load.
+  deflate (smaller file, in-memory load).
 * **format 2**: compressed archive, pickled ref array, ``float32``
   vectors + signatures; restored through the bulk-load path.
 * **format 1**: compressed, ``float64`` vectors, no signatures; the
@@ -47,7 +45,6 @@ from repro.core.warpgate import WarpGate
 from repro.durability import faultpoints
 from repro.errors import ArtifactCorruptionError, DiscoveryError
 from repro.index.mmapio import load_npz_arrays
-from repro.index.sharding import ShardedIndex
 from repro.storage.schema import ColumnRef
 
 __all__ = [
@@ -106,11 +103,10 @@ def save_index(system, path: str | Path, *, compress: bool = False) -> Path:
 
     Accepts a :class:`WarpGate` or a
     :class:`~repro.service.discovery.DiscoveryService` (unwrapped to its
-    engine); sharded engines are gathered across shards.  The archive is
-    uncompressed by default so it can be memory-mapped on load — pass
-    ``compress=True`` to trade the zero-copy cold load for a smaller
-    file.  Raises :class:`DiscoveryError` if the system has not indexed a
-    corpus.
+    engine).  The archive is uncompressed by default so it can be
+    memory-mapped on load — pass ``compress=True`` to trade the zero-copy
+    cold load for a smaller file.  Raises :class:`DiscoveryError` if the
+    system has not indexed a corpus.
     """
     system = getattr(system, "engine", system)
     if not system.is_indexed:
@@ -182,9 +178,8 @@ def load_index(path: str | Path) -> WarpGate:
     Format-3 artifacts restore zero-copy: the vector (and signature)
     members stay memory-mapped and the arena adopts them directly, so the
     load cost is O(refs), not O(n·dim) — the OS pages vector data in
-    lazily.  (A sharded config re-partitions the flat payload instead,
-    which copies.)  Format-1/2 artifacts take the legacy decompress +
-    bulk-load path.
+    lazily.  Format-1/2 artifacts take the legacy decompress + bulk-load
+    path.
 
     The restored system answers :meth:`~repro.core.warpgate.WarpGate.search`
     only through pre-embedded queries (no connector is attached); use
@@ -255,18 +250,13 @@ def load_index(path: str | Path) -> WarpGate:
     system = WarpGate(config)
     if refs:
         index = system._index
-        expected_words = (
-            index.shards[0].arena.signature_words
-            if isinstance(index, ShardedIndex)
-            else index.arena.signature_words
-        )
-        if signatures is not None and expected_words != (
+        if signatures is not None and index.arena.signature_words != (
             signatures.shape[1] if signatures.ndim == 2 else -1
         ):
             # Backend/banding drift (shouldn't happen — the config travels
             # with the artifact); rehash rather than load bad keys.
             signatures = None
-        if version >= 3 and not isinstance(index, ShardedIndex):
+        if version >= 3:
             # Zero-copy: the arena adopts the (typically memory-mapped)
             # artifact members without a normalization or copy pass.
             index.adopt_rows(refs, vectors, signatures)

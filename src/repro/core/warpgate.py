@@ -28,7 +28,6 @@ from repro.index.exact import ExactCosineIndex
 from repro.index.lsh import SimHashLSHIndex
 from repro.index.minhash import MinHashSignature
 from repro.index.pivot import PivotFilterIndex
-from repro.index.sharding import ShardedIndex
 from repro.storage.column import Column
 from repro.storage.schema import ColumnRef
 from repro.warehouse.connector import WarehouseConnector
@@ -77,38 +76,17 @@ class WarpGate(JoinDiscoverySystem):
         self._signatures: dict[ColumnRef, tuple[MinHashSignature, int]] = {}
 
     def _build_index(self):
-        """Instantiate the configured search backend.
-
-        With ``n_shards > 1`` the backend factory is replicated behind a
-        :class:`~repro.index.sharding.ShardedIndex` (parallel fan-out,
-        shard-local mutation); ``quantize`` enables int8 candidate
-        scoring with exact float32 re-ranking on every shard.
-        """
-
-        def make_backend():
-            if self.config.search_backend == "lsh":
-                return SimHashLSHIndex(
-                    self.config.dim,
-                    n_bits=self.config.n_bits,
-                    n_bands=self.config.n_bands,
-                    threshold=self.config.threshold,
-                )
-            if self.config.search_backend == "exact":
-                return ExactCosineIndex(self.config.dim)
-            return PivotFilterIndex(self.config.dim, threshold=self.config.threshold)
-
-        if self.config.n_shards > 1:
-            index = ShardedIndex(
+        """Instantiate the configured search backend."""
+        if self.config.search_backend == "lsh":
+            return SimHashLSHIndex(
                 self.config.dim,
-                make_backend,
-                n_shards=self.config.n_shards,
-                placement=self.config.shard_placement,
+                n_bits=self.config.n_bits,
+                n_bands=self.config.n_bands,
+                threshold=self.config.threshold,
             )
-        else:
-            index = make_backend()
-        if self.config.quantize:
-            index.enable_quantization(self.config.rerank_factor)
-        return index
+        if self.config.search_backend == "exact":
+            return ExactCosineIndex(self.config.dim)
+        return PivotFilterIndex(self.config.dim, threshold=self.config.threshold)
 
     def _default_sampler(self) -> Sampler | None:
         if self.config.sample_size is None:
@@ -544,15 +522,6 @@ class WarpGate(JoinDiscoverySystem):
                 )
         return results  # type: ignore[return-value]
 
-    def set_rerank_factor(self, rerank_factor: int) -> None:
-        """Retune the index's int8 re-rank breadth on the live quantizer.
-
-        A no-op when the engine is not quantized; a sharded engine retunes
-        every shard.  Degraded-mode serving uses this to narrow re-rank
-        under overload and restore it on recovery.
-        """
-        self._index.set_rerank_factor(rerank_factor)
-
     def attach_connector(self, connector: WarehouseConnector) -> None:
         """Attach a live connector to a restored index (re-enables search()).
 
@@ -611,10 +580,9 @@ class WarpGate(JoinDiscoverySystem):
     def index_generation(self) -> int:
         """Monotonic counter of index content mutations.
 
-        Moves on every add/remove/update/refresh/compaction (across all
-        shards on a sharded engine), so any result computed under one
-        value is stale under any other — the serving layer keys its query
-        cache on it for implicit invalidation.
+        Moves on every add/remove/update/refresh/compaction, so any
+        result computed under one value is stale under any other — the
+        serving layer keys its query cache on it for implicit invalidation.
         """
         return self._index.mutation_generation
 
@@ -649,13 +617,8 @@ class WarpGate(JoinDiscoverySystem):
                 explanation["containment"] = round(containment, 4)
                 explanation["blended"] = round(blended, 4)
                 explanation["above_floor"] = blended >= self.config.hybrid_floor
-        lsh = self._index
-        if isinstance(lsh, ShardedIndex):
-            # Shards share one banding configuration, so any shard's
-            # S-curve describes the whole engine.
-            lsh = lsh.shards[0]
-        if isinstance(lsh, SimHashLSHIndex):
+        if isinstance(self._index, SimHashLSHIndex):
             explanation["lsh_candidate_probability"] = round(
-                lsh.expected_candidate_rate(cosine), 4
+                self._index.expected_candidate_rate(cosine), 4
             )
         return explanation

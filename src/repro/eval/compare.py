@@ -60,9 +60,6 @@ DRIFT_TOLERANCE = 0.25
 HIGHER_IS_BETTER = (
     "batch_speedup",
     "embed_speedup",
-    "shard_speedup",
-    "quant_recall_at_k",
-    "quant_speedup",
     "artifact_load_speedup",
     "serve_qps_engine",
     "serve_coalesced_speedup",

@@ -16,12 +16,8 @@ across warehouse columns, which is what the shared value/token caches
 exploit), reporting throughput, speedup, and cache hit rate per corpus
 size.
 
-Three engine stages track the scaling machinery on top of that:
-``shard`` (batched search on one arena vs the corpus partitioned across
-a :class:`~repro.index.sharding.ShardedIndex`, with a merge-exactness
-probe), ``quant`` (full-float32 vs int8-candidate + exact-re-rank
-scoring, with recall@k — the acceptance bar is ≥ 0.98), and ``artifact``
-(format-3 mmap cold load vs the legacy compressed format-2 load).
+The ``artifact`` stage tracks the format-3 mmap cold load against the
+legacy compressed format-2 load.
 
 The ``serve`` stage measures the *serving engine* end to end: N
 concurrent HTTP clients drive a live server, comparing the
@@ -86,7 +82,7 @@ __all__ = [
 
 BENCH_REPORT_NAME = "BENCH_index.json"
 BENCH_HISTORY_NAME = "BENCH_history.jsonl"
-_SCHEMA_VERSION = 10
+_SCHEMA_VERSION = 11
 
 #: Every stage the suite can run, in run order.  ``run_perf_suite``'s
 #: ``stages`` parameter selects a subset (``python -m repro bench
@@ -95,8 +91,6 @@ _SCHEMA_VERSION = 10
 ALL_STAGES = (
     "results",
     "embed",
-    "shard",
-    "quant",
     "artifact",
     "serve",
     "overload",
@@ -109,17 +103,14 @@ ALL_STAGES = (
 #: committed baseline; ``fast`` keeps the CI smoke job in single-digit
 #: seconds.  ``embed_sizes`` drives the embedding-throughput stage (the
 #: sequential arm re-encodes every column per repeat, so it scales its own
-#: sizes rather than riding the search-side ones); ``shard_sizes`` /
-#: ``quant_sizes`` / ``artifact_sizes`` drive the sharding, quantization,
-#: and artifact-format stages at the scales where they matter.
+#: sizes rather than riding the search-side ones); ``artifact_sizes``
+#: drives the artifact-format stage at the scale where it matters.
 PROFILES: dict[str, dict] = {
     "full": {
         "sizes": (1_000, 5_000, 10_000, 50_000),
         "repeats": 5,
         "embed_sizes": (2_000, 10_000),
         "embed_repeats": 3,
-        "shard_sizes": (10_000, 50_000),
-        "quant_sizes": (10_000, 50_000),
         "artifact_sizes": (50_000,),
         "stage_repeats": 3,
         "serve_sizes": (10_000,),
@@ -136,8 +127,6 @@ PROFILES: dict[str, dict] = {
         "repeats": 2,
         "embed_sizes": (500, 1_000),
         "embed_repeats": 2,
-        "shard_sizes": (1_000, 2_000),
-        "quant_sizes": (2_000,),
         "artifact_sizes": (2_000,),
         "stage_repeats": 2,
         "serve_sizes": (2_000,),
@@ -178,33 +167,6 @@ _EMBED_FIELDS = (
     "batched_cols_per_s",
     "cache_hit_rate",
     "distinct_fraction",
-    "warmup_runs",
-)
-
-# Fields every shard-stage row must carry: batched search on one arena vs
-# the same corpus partitioned across n_shards, plus a merge-correctness
-# probe (fraction of queries whose sharded result list is identical).
-_SHARD_FIELDS = (
-    "n_columns",
-    "n_shards",
-    "batch_ms_single",
-    "batch_ms_sharded",
-    "shard_speedup",
-    "merge_equal_fraction",
-    "warmup_runs",
-)
-
-# Fields every quant-stage row must carry: int8 candidate scoring + exact
-# re-rank vs full float32, and the recall it buys that cost.
-_QUANT_FIELDS = (
-    "n_columns",
-    "rerank_factor",
-    "batch_ms_float32",
-    "batch_ms_int8",
-    "quant_speedup",
-    "recall_at_k",
-    "bytes_float32",
-    "bytes_int8",
     "warmup_runs",
 )
 
@@ -583,122 +545,6 @@ def _corpus_and_queries(
     queries = np.sqrt(1.0 - 0.2**2) * corpus[picks] + 0.2 * jitter
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
     return corpus, queries
-
-
-def _bench_shard_one_size(
-    n: int,
-    *,
-    dim: int,
-    n_bits: int,
-    n_bands: int,
-    threshold: float,
-    batch_size: int,
-    k: int,
-    n_shards: int,
-    repeats: int,
-) -> dict:
-    """Batched search on one arena vs the corpus partitioned in ``n_shards``.
-
-    Both engines hold the identical corpus and run the identical query
-    block; the sharded run fans per-shard GEMMs out on the shared thread
-    pool (numpy releases the GIL, so the speedup tracks the core count —
-    the ``environment.cpus`` field records what this host offered).  The
-    merge probe cross-checks that every query's sharded result list is
-    *identical* to the single-arena list — the exactness invariant the
-    property tests pin at small scale, re-verified at benchmark scale.
-    """
-    from repro.index.sharding import ShardedIndex
-
-    corpus, queries = _corpus_and_queries(n, dim, batch_size)
-    keys = list(range(n))
-
-    def make_backend() -> SimHashLSHIndex:
-        return SimHashLSHIndex(
-            dim, n_bits=n_bits, n_bands=n_bands, threshold=threshold
-        )
-
-    single = make_backend()
-    single.bulk_load(keys, corpus)
-    single.build()
-    sharded = ShardedIndex(dim, make_backend, n_shards=n_shards)
-    sharded.bulk_load(keys, corpus)
-    sharded.build()
-
-    # Merge-exactness probe (also warms both paths; _timed_median warms
-    # each arm again before timing).
-    single_results = single.search_batch(queries, k)
-    sharded_results = sharded.search_batch(queries, k)
-    equal = sum(
-        1 for got, want in zip(sharded_results, single_results) if got == want
-    )
-
-    single_s = _timed_median(repeats, lambda: single.search_batch(queries, k))
-    sharded_s = _timed_median(repeats, lambda: sharded.search_batch(queries, k))
-    return {
-        "n_columns": n,
-        "n_shards": n_shards,
-        "batch_ms_single": round(single_s * 1e3, 3),
-        "batch_ms_sharded": round(sharded_s * 1e3, 3),
-        "shard_speedup": round(single_s / sharded_s, 2),
-        "merge_equal_fraction": round(equal / batch_size, 4),
-        "warmup_runs": _WARMUP_RUNS,
-    }
-
-
-def _bench_quant_one_size(
-    n: int,
-    *,
-    dim: int,
-    batch_size: int,
-    k: int,
-    rerank_factor: int,
-    repeats: int,
-) -> dict:
-    """Int8 candidate scoring + exact re-rank vs full float32 search.
-
-    Runs on the exact backend so the recall number isolates quantization
-    (no LSH candidate-generation noise): ``recall_at_k`` is the mean
-    fraction of each query's float32 top-k that the int8+re-rank path
-    reproduces.  ``bytes_*`` report the resident scoring set — the int8
-    code mirror is 4x smaller, which is the memory story when the float32
-    matrix stays memory-mapped on disk (artifact format 3).
-    """
-    from repro.index.exact import ExactCosineIndex
-
-    corpus, queries = _corpus_and_queries(n, dim, batch_size)
-    keys = list(range(n))
-    floor = 0.5  # dense-but-selective: domain neighbours in, noise out
-    index = ExactCosineIndex(dim)
-    index.bulk_load(keys, corpus)
-
-    truth = index.search_batch(queries, k, threshold=floor)
-    float32_s = _timed_median(
-        repeats, lambda: index.search_batch(queries, k, threshold=floor)
-    )
-
-    index.enable_quantization(rerank_factor)
-    approx = index.search_batch(queries, k, threshold=floor)
-    int8_s = _timed_median(
-        repeats, lambda: index.search_batch(queries, k, threshold=floor)
-    )
-    recalls = []
-    for got, want in zip(approx, truth):
-        if not want:
-            continue
-        want_keys = {key for key, _score in want}
-        got_keys = {key for key, _score in got}
-        recalls.append(len(want_keys & got_keys) / len(want_keys))
-    return {
-        "n_columns": n,
-        "rerank_factor": rerank_factor,
-        "batch_ms_float32": round(float32_s * 1e3, 3),
-        "batch_ms_int8": round(int8_s * 1e3, 3),
-        "quant_speedup": round(float32_s / int8_s, 2),
-        "recall_at_k": round(float(np.mean(recalls)) if recalls else 1.0, 4),
-        "bytes_float32": n * dim * 4,
-        "bytes_int8": n * dim,
-        "warmup_runs": _WARMUP_RUNS,
-    }
 
 
 def _bench_artifact_one_size(n: int, *, dim: int, repeats: int) -> dict:
@@ -1355,7 +1201,7 @@ def _bench_overload_one_size(
                 ),
             }
         # Recovery: the degradation tier must walk back to normal and a
-        # fresh request must be admitted and served at full fidelity.
+        # fresh request must be admitted and served.
         deadline = time.monotonic() + 15.0
         while (
             service.degradation.tier() != 0 and time.monotonic() < deadline
@@ -1415,11 +1261,7 @@ def run_perf_suite(
     embed_values_per_column: int = 40,
     embed_vocab_size: int = 600,
     embed_chunk_size: int = 512,
-    shard_sizes: tuple[int, ...] | None = None,
-    quant_sizes: tuple[int, ...] | None = None,
     artifact_sizes: tuple[int, ...] | None = None,
-    n_shards: int = 4,
-    rerank_factor: int = 4,
     stage_repeats: int | None = None,
     serve_sizes: tuple[int, ...] | None = None,
     serve_clients: int | None = None,
@@ -1437,9 +1279,7 @@ def run_perf_suite(
 
     Returns the report dict: ``results`` rows follow ``_RESULT_FIELDS``
     (search side), ``embed`` rows follow ``_EMBED_FIELDS`` (sequential vs
-    batched encode), ``shard`` rows ``_SHARD_FIELDS`` (1-arena vs
-    partitioned search), ``quant`` rows ``_QUANT_FIELDS`` (float32 vs
-    int8+re-rank, with recall@k), ``artifact`` rows ``_ARTIFACT_FIELDS``
+    batched encode), ``artifact`` rows ``_ARTIFACT_FIELDS``
     (format-2 vs format-3 cold loads), ``serve`` rows ``_SERVE_FIELDS``
     (concurrent HTTP clients against the live serving engine vs the
     thread-per-request baseline), ``graph`` rows ``_GRAPH_FIELDS`` (full
@@ -1472,12 +1312,6 @@ def run_perf_suite(
     )
     embed_repeats = (
         embed_repeats if embed_repeats is not None else spec.get("embed_repeats", 2)
-    )
-    shard_sizes = (
-        tuple(shard_sizes) if shard_sizes is not None else spec["shard_sizes"]
-    )
-    quant_sizes = (
-        tuple(quant_sizes) if quant_sizes is not None else spec["quant_sizes"]
     )
     artifact_sizes = (
         tuple(artifact_sizes)
@@ -1549,37 +1383,6 @@ def run_perf_suite(
                 vocab_size=embed_vocab_size,
                 chunk_size=embed_chunk_size,
                 repeats=embed_repeats,
-            )
-        )
-    shard_results = []
-    for n in shard_sizes if "shard" in stages else ():
-        if progress is not None:
-            progress(f"benchmarking {n_shards}-shard search at {n} columns ...")
-        shard_results.append(
-            _bench_shard_one_size(
-                n,
-                dim=dim,
-                n_bits=n_bits,
-                n_bands=n_bands,
-                threshold=threshold,
-                batch_size=batch_size,
-                k=k,
-                n_shards=n_shards,
-                repeats=stage_repeats,
-            )
-        )
-    quant_results = []
-    for n in quant_sizes if "quant" in stages else ():
-        if progress is not None:
-            progress(f"benchmarking int8 scoring at {n} columns ...")
-        quant_results.append(
-            _bench_quant_one_size(
-                n,
-                dim=dim,
-                batch_size=batch_size,
-                k=k,
-                rerank_factor=rerank_factor,
-                repeats=stage_repeats,
             )
         )
     artifact_results = []
@@ -1664,8 +1467,6 @@ def run_perf_suite(
             "batch_size": batch_size,
             "k": k,
             "repeats": repeats,
-            "n_shards": n_shards,
-            "rerank_factor": rerank_factor,
             "embed": {
                 "dim": embed_dim,
                 "values_per_column": embed_values_per_column,
@@ -1716,8 +1517,6 @@ def run_perf_suite(
         },
         "results": results,
         "embed": embed_results,
-        "shard": shard_results,
-        "quant": quant_results,
         "artifact": artifact_results,
         "serve": serve_results,
         "overload": overload_results,
@@ -1773,8 +1572,6 @@ def validate_report(payload: dict) -> list[str]:
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     problems.append(f"embed {row.get('n_columns')}: bad {field!r}")
     for stage, fields in (
-        ("shard", _SHARD_FIELDS),
-        ("quant", _QUANT_FIELDS),
         ("artifact", _ARTIFACT_FIELDS),
         ("serve", _SERVE_FIELDS),
         ("overload", _OVERLOAD_FIELDS),
@@ -1849,8 +1646,6 @@ def append_history(report: dict, path: str | Path) -> Path:
     """
     path = Path(path)
     largest = report["results"][-1] if report.get("results") else {}
-    shard = report["shard"][-1] if report.get("shard") else {}
-    quant = report["quant"][-1] if report.get("quant") else {}
     artifact = report["artifact"][-1] if report.get("artifact") else {}
     embed = report["embed"][-1] if report.get("embed") else {}
     serve = report["serve"][-1] if report.get("serve") else {}
@@ -1867,9 +1662,6 @@ def append_history(report: dict, path: str | Path) -> Path:
         "batch_speedup": largest.get("batch_speedup"),
         "batch_per_query_ms": largest.get("batch_per_query_ms"),
         "embed_speedup": embed.get("speedup"),
-        "shard_speedup": shard.get("shard_speedup"),
-        "quant_recall_at_k": quant.get("recall_at_k"),
-        "quant_speedup": quant.get("quant_speedup"),
         "artifact_load_speedup": artifact.get("load_speedup"),
         "serve_qps_engine": serve.get("qps_engine"),
         "serve_coalesced_speedup": serve.get("coalesced_speedup"),

@@ -16,10 +16,6 @@ one columnar substrate:
   (pivot-based metric filtering, after PEXESO);
 * :class:`MinHashIndex` / :class:`MinHashSignature` — Jaccard machinery
   used by the Aurum and D3L baselines;
-* :class:`ShardedIndex` — partitioned engine: per-shard arenas queried in
-  parallel on a shared thread pool, exact top-k merge;
-* :class:`ArenaQuantizer` — int8 per-dimension quantization with a fused
-  int32 candidate scorer and exact float32 re-rank;
 * :func:`load_npz_arrays` — zero-copy ``np.memmap`` reads of uncompressed
   ``.npz`` artifact members (format 3 cold loads).
 """
@@ -30,8 +26,6 @@ from repro.index.lsh import SimHashLSHIndex
 from repro.index.minhash import MinHashIndex, MinHashSignature
 from repro.index.mmapio import load_npz_arrays
 from repro.index.pivot import PivotFilterIndex
-from repro.index.quant import ArenaQuantizer
-from repro.index.sharding import ShardedIndex
 from repro.index.simhash import (
     SimHashFamily,
     hamming_distance,
@@ -40,13 +34,11 @@ from repro.index.simhash import (
 )
 
 __all__ = [
-    "ArenaQuantizer",
     "ColumnarIndex",
     "ExactCosineIndex",
     "MinHashIndex",
     "MinHashSignature",
     "PivotFilterIndex",
-    "ShardedIndex",
     "SimHashFamily",
     "SimHashLSHIndex",
     "VectorArena",

@@ -28,12 +28,9 @@ plus the canonical vector/signature validation, so dimension errors raise
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.errors import DimensionMismatchError, EmptyIndexError
-from repro.index.quant import ArenaQuantizer
 
 __all__ = ["ColumnarIndex", "VectorArena", "rank_order", "select_topk"]
 
@@ -477,78 +474,6 @@ class VectorArena:
         self.mutation_generation += 1
         return np.arange(count)
 
-    # -- persistence --------------------------------------------------------------
-
-    def save(self, path: str | Path, *, compress: bool = False) -> Path:
-        """Write the live rows to ``path`` as an ``.npz`` archive.
-
-        Uncompressed by default: an uncompressed archive saves ~10x faster
-        on the embedding matrices this stores (near-incompressible float32
-        noise) and — decisively — its members can be memory-mapped on
-        load (see :mod:`repro.index.mmapio`), so a cold process maps the
-        artifact in milliseconds instead of decompressing it into RAM.
-        Pass ``compress=True`` to trade that away for ~20-30% smaller
-        files (cold storage, network shipping).
-
-        The artifact is compacted on the way out: only live rows are
-        stored, so tombstones never ship.  Keys are serialized as an
-        object array (refs, strings, ints — anything picklable).
-
-        This is the substrate-level primitive (arena in, arena out); the
-        *deployment* artifact — config header, portable string refs,
-        format versioning — is owned by :mod:`repro.core.persistence`,
-        which stores the same arrays under its own envelope.
-        """
-        path = Path(path)
-        live = self.live_rows()
-        keys = np.empty(len(live), dtype=object)
-        keys[:] = [self._keys[row] for row in live]
-        payload = {
-            "dim": np.int64(self.dim),
-            "signature_words": np.int64(self.signature_words),
-            "matrix": self._matrix[live],
-            "keys": keys,
-        }
-        if self._signatures is not None:
-            payload["signatures"] = self._signatures[live]
-        writer = np.savez_compressed if compress else np.savez
-        writer(path, **payload)
-        return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-    @classmethod
-    def load(cls, path: str | Path, *, mmap: bool = True) -> "VectorArena":
-        """Restore an arena written by :meth:`save`.
-
-        With ``mmap=True`` (default), uncompressed archives are adopted
-        zero-copy: the vector and signature matrices stay memory-mapped
-        and page in lazily.  Compressed archives (and ``mmap=False``)
-        load the arrays into memory; either way the restored arena is
-        element-for-element identical.
-        """
-        path = Path(path)
-        if mmap:
-            from repro.index.mmapio import load_npz_arrays
-
-            payload = load_npz_arrays(path, allow_pickle=True)
-            dim = int(payload["dim"])
-            signature_words = int(payload["signature_words"])
-            matrix = payload["matrix"]
-            keys = list(payload["keys"])
-            signatures = payload.get("signatures")
-        else:
-            with np.load(path, allow_pickle=True) as payload:
-                dim = int(payload["dim"])
-                signature_words = int(payload["signature_words"])
-                matrix = payload["matrix"]
-                keys = list(payload["keys"])
-                signatures = (
-                    payload["signatures"] if "signatures" in payload else None
-                )
-        arena = cls(dim, signature_words=signature_words)
-        if keys:
-            arena.adopt(keys, matrix, signatures)
-        return arena
-
 
 class ColumnarIndex:
     """Shared arena-backed base for the cosine index backends.
@@ -565,7 +490,6 @@ class ColumnarIndex:
     def __init__(self, dim: int, *, signature_words: int = 0) -> None:
         self.dim = dim
         self._arena = VectorArena(dim, signature_words=signature_words)
-        self._quant: ArenaQuantizer | None = None
 
     # -- container protocol -------------------------------------------------------
 
@@ -606,8 +530,7 @@ class ColumnarIndex:
     def export_rows(self) -> tuple[list[object], np.ndarray, np.ndarray | None]:
         """Live ``(keys, vectors, signatures)`` in insertion order.
 
-        The persistence layer's gather point, uniform across plain and
-        :class:`~repro.index.sharding.ShardedIndex` engines.
+        The persistence layer's gather point.
         """
         arena = self._arena
         live = arena.live_rows()
@@ -615,48 +538,6 @@ class ColumnarIndex:
         vectors = arena.matrix[live]
         signatures = arena.signatures[live] if arena.signature_words else None
         return keys, vectors, signatures
-
-    # -- quantization -------------------------------------------------------------
-
-    def enable_quantization(self, rerank_factor: int = 4, **kwargs) -> None:
-        """Score candidates on int8 codes; re-rank the top ``rerank_factor * k``
-        survivors exactly in float32 (see :class:`~repro.index.quant.ArenaQuantizer`).
-
-        Rejects ``dim`` beyond the fused scorer's exact-integer envelope
-        (127² · dim must stay below 2²⁴): past it the float32 GEMM would
-        silently stop reproducing int32 arithmetic and recall would
-        degrade unannounced.
-        """
-        from repro.index.quant import _EXACT_GEMM_MAX_DIM
-
-        if self.dim > _EXACT_GEMM_MAX_DIM:
-            raise ValueError(
-                f"int8 quantization supports dim <= {_EXACT_GEMM_MAX_DIM} "
-                f"(exact int32 accumulation in float32); got dim={self.dim}"
-            )
-        self._quant = ArenaQuantizer(rerank_factor, **kwargs)
-
-    def disable_quantization(self) -> None:
-        """Return to full-float32 scoring."""
-        self._quant = None
-
-    @property
-    def quantizer(self) -> ArenaQuantizer | None:
-        """The active int8 quantizer, or ``None``."""
-        return self._quant
-
-    def set_rerank_factor(self, rerank_factor: int) -> None:
-        """Retune the live quantizer's re-rank breadth (no-op when off).
-
-        ``rerank_factor`` is read fresh on every query, so a plain
-        attribute swap takes effect on the next probe without touching
-        the codes — cheap enough for degraded-mode serving to downshift
-        and recover at will, and safe under concurrent readers.
-        """
-        if rerank_factor < 1:
-            raise ValueError(f"rerank_factor must be >= 1, got {rerank_factor}")
-        if self._quant is not None:
-            self._quant.rerank_factor = rerank_factor
 
     # -- construction -------------------------------------------------------------
 
@@ -788,12 +669,9 @@ class ColumnarIndex:
 
         Queries resynchronize lazily on first use; the serving layer calls
         this after mutations (under its write lock) so the shared read
-        path never writes state.  The int8 code mirror is one such
-        structure: it syncs here, and subclass overrides call
-        ``super().build()`` to keep that true.
+        path never writes state.  The base index derives nothing; the
+        LSH and pivot backends override this.
         """
-        if self._quant is not None:
-            self._quant.sync(self._arena)
 
     # -- query validation ---------------------------------------------------------
 
@@ -857,26 +735,15 @@ class ColumnarIndex:
         Two plans, same answer: a sparse mask gathers its rows and scores
         only those; past ``_DENSE_PLAN_FRACTION`` of the arena the gather
         costs more than scoring everything, so the whole matrix is scored
-        and the mask applied to the score vector.  With quantization on,
-        the mask is first cut to the top ``rerank_factor * k`` by int8
-        score, so the float32 gather touches a bounded number of rows.
+        and the mask applied to the score vector.
         """
-        arena, quant = self._arena, self._quant
-        if quant is None and np.count_nonzero(mask) > _DENSE_PLAN_FRACTION * arena.size:
+        arena = self._arena
+        if np.count_nonzero(mask) > _DENSE_PLAN_FRACTION * arena.size:
             scores = arena.matrix @ unit
             rows = np.flatnonzero(mask & (scores >= floor))
             return self._assemble(rows, scores[rows], k, exclude)
         rows = np.flatnonzero(mask)
-        if quant is not None:
-            limit = quant.rerank_factor * k + (exclude is not None)
-            rows = quant.preselect(arena, unit, rows, limit)
-        return self._rank_gathered(unit, rows, floor, k, exclude)
-
-    def _rank_gathered(
-        self, unit: np.ndarray, rows: np.ndarray, floor: float, k: int, exclude: object
-    ) -> list[tuple[object, float]]:
-        """Gather ``rows``, score them exactly, apply the floor, rank."""
-        scores = self._arena.matrix[rows] @ unit
+        scores = arena.matrix[rows] @ unit
         keep = scores >= floor
         return self._assemble(rows[keep], scores[keep], k, exclude)
 
@@ -921,12 +788,6 @@ class ColumnarIndex:
         vectorized compare, one :func:`select_topk`.  Transient memory is
         the ``n_queries × n_rows`` score block at any floor.
 
-        With quantization on, the block is scored on the int8 code mirror,
-        the floor relaxed by the quantizer's slack so above-floor rows
-        survive their quantization error, and each query's top
-        ``rerank_factor * k`` survivors are re-scored exactly in float32;
-        the true floor applies to exact scores only.
-
         ``excludes`` optionally drops one key per query (parallel list).
         Raises :class:`~repro.errors.EmptyIndexError` on an empty index and
         :class:`~repro.errors.DimensionMismatchError` on a shape mismatch.
@@ -941,12 +802,8 @@ class ColumnarIndex:
         floor = self.threshold if threshold is None else threshold
         if n_queries == 0:
             return []
-        arena, quant = self._arena, self._quant
-        generation_floor = floor
-        if quant is not None:
-            block = quant.score_block(arena, units)
-            generation_floor -= quant.floor_slack
-        elif n_queries <= _TALL_GEMM_MAX_QUERIES:
+        arena = self._arena
+        if n_queries <= _TALL_GEMM_MAX_QUERIES:
             # Same GEMM either way round: BLAS runs the tall orientation
             # ~2x faster on a small block, but its per-query scores come
             # out strided, which costs more than that past ~16 queries.
@@ -961,11 +818,6 @@ class ColumnarIndex:
             exclude = excludes[query] if excludes is not None else None
             scores = block[query]
             mask = self._candidate_mask(unit, floor)
-            rows = np.flatnonzero(mask & (scores >= generation_floor))
-            if quant is None:
-                results.append(self._assemble(rows, scores[rows], k, exclude))
-                continue
-            limit = quant.rerank_factor * k + (exclude is not None)
-            rows = rows[select_topk(scores[rows], limit)]
-            results.append(self._rank_gathered(unit, rows, floor, k, exclude))
+            rows = np.flatnonzero(mask & (scores >= floor))
+            results.append(self._assemble(rows, scores[rows], k, exclude))
         return results

@@ -6,8 +6,6 @@ live in the shared :class:`~repro.index.arena.VectorArena` (contiguous
 ``float32`` rows) and every live row is a candidate — the inherited
 :meth:`~repro.index.arena.ColumnarIndex._candidate_mask` is the alive mask
 — so a query is one masked matrix-vector product and a batch is one GEMM.
-With quantization enabled the per-query scan runs on the int8 code mirror
-and only the top ``rerank_factor * k`` survivors are scored in float32.
 """
 
 from __future__ import annotations

@@ -193,7 +193,6 @@ class SimHashLSHIndex(ColumnarIndex):
         Queries resynchronize lazily; the serving layer calls this under
         its write lock so the concurrent read path never rebuilds state.
         """
-        super().build()
         self._synced_buckets()
 
     # -- search -------------------------------------------------------------------

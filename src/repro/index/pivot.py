@@ -94,7 +94,6 @@ class PivotFilterIndex(ColumnarIndex):
         arena region; tombstoned rows keep a (stale) table entry and are
         dropped by the alive mask at query time.
         """
-        super().build()
         arena = self._arena
         live = arena.live_rows()
         if live.size == 0:

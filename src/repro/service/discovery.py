@@ -35,9 +35,9 @@ evolving* warehouse, so this facade adds what serving requires:
   after embedding, before the probe) and surface as ``deadline_exceeded``
   (HTTP 504); the HTTP layer reports shed connections into a
   :class:`~repro._util.DegradationPolicy`, and sustained shedding
-  downshifts serving fidelity (narrower int8 re-rank, path queries
-  capped to one hop) until traffic quiets — cache hits always stay
-  full-fidelity, and :attr:`readiness` reports ``/readyz`` state.
+  caps path queries to one hop until traffic quiets — search answers
+  are the same at every tier, and :attr:`readiness` reports
+  ``/readyz`` state (not-ready at tier 2).
 
 The facade is deliberately thin: every search still runs WarpGate's
 embed → probe → rank pipeline, so library results and service results
@@ -208,17 +208,14 @@ class DiscoveryService:
         )
         self._path_queries = 0
         # Overload protection: the HTTP layer reports every shed
-        # connection here; sustained shedding downshifts serving fidelity
-        # (narrower re-rank, capped path hops) and recovers hysteretically
-        # once traffic quiets.  The tier is *applied* lazily on the probe
-        # path so cache hits never pay for the reconciliation.
+        # connection here; sustained shedding caps path hops and, at
+        # tier 2, reports not-ready; it recovers hysteretically once
+        # traffic quiets.
         self._degradation = DegradationPolicy(
             shed_threshold=serving.degrade_shed_threshold,
             window_s=serving.degrade_window_s,
             recovery_s=serving.degrade_recovery_s,
         )
-        self._applied_tier = DegradationPolicy.TIER_NORMAL
-        self._effective_rerank = serving.rerank_factor
         self._deadline_misses = 0
         #: Set by :meth:`load_durable` — what recovery found on disk.
         self.recovery_report: dict | None = None
@@ -632,9 +629,7 @@ class DiscoveryService:
         :meth:`search` — the probe runs the engine's
         :meth:`~repro.core.warpgate.WarpGate.search_vectors`, which is the
         index's true batched path (one matrix product per query block, see
-        ``ColumnarIndex.search_batch``; on a sharded engine the block fans
-        out across all shards in parallel on the shared pool, see
-        ``ShardedIndex.search_batch``) with per-query semantics preserved
+        ``ColumnarIndex.search_batch``) with per-query semantics preserved
         — but duplicate query refs pay the warehouse scan and embedding
         only once, and the block amortizes signature hashing, candidate
         generation, and BLAS dispatch.  Requests sharing ``(k, threshold)``
@@ -695,7 +690,6 @@ class DiscoveryService:
         (mutations need the exclusive side, so it cannot move mid-block).
         """
         misses: list[tuple] = []
-        self._apply_degradation_locked()
         if self._qcache is not None:
             generation = self.engine.index_generation
             for position, vector, exclude, embed_timing in block:
@@ -737,24 +731,6 @@ class DiscoveryService:
                 )
             result.timing = embed_timing + result.timing
             responses[position] = SearchResponse.from_result(result)
-
-    def _apply_degradation_locked(self) -> None:
-        """Reconcile the engine's re-rank breadth with the degradation tier.
-
-        Called on the probe path only — cache hits skip it, so cached
-        answers stay full-fidelity for free even while degraded.  The
-        setter is an idempotent attribute swap inside the engine, so
-        concurrent readers racing here converge on the same value.
-        """
-        tier = self._degradation.tier()
-        if tier == self._applied_tier:
-            return
-        base = self.engine.config.rerank_factor
-        effective = self._degradation.rerank_factor_for(base)
-        self.engine.set_rerank_factor(effective)
-        with self._counter_lock:
-            self._applied_tier = tier
-            self._effective_rerank = effective
 
     # -- coalesced serving path ----------------------------------------------------
 
@@ -997,7 +973,6 @@ class DiscoveryService:
             searches, mutations = self._searches, self._mutations
             path_queries = self._path_queries
             deadline_misses = self._deadline_misses
-            effective_rerank = self._effective_rerank
         # Counters only — never forces a graph sync (stats must stay cheap).
         graph = self._graph.stats()
         graph["path_queries"] = path_queries
@@ -1016,13 +991,10 @@ class DiscoveryService:
             searches=searches,
             mutations=mutations,
             caches=caches,
-            shards=config.n_shards,
-            quantized=config.quantize,
             graph=graph,
             durability=self._store.stats() if self._store is not None else None,
             degradation={
                 **self._degradation.snapshot(),
-                "rerank_factor_effective": effective_rerank,
                 "max_hops_cap": self._degradation.max_hops_cap(),
             },
             deadlines={

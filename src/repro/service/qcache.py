@@ -5,8 +5,7 @@ many dashboards and sessions against an index that mutates rarely by
 comparison.  :class:`QueryResultCache` memoizes ranked candidate lists in
 a bounded, thread-safe LRU whose key embeds the *index mutation
 generation* — the monotonic counter every index backend exposes
-(:attr:`~repro.index.arena.ColumnarIndex.mutation_generation`, summed
-across shards on a :class:`~repro.index.sharding.ShardedIndex`).  Any
+(:attr:`~repro.index.arena.ColumnarIndex.mutation_generation`).  Any
 ``add_table`` / ``drop_table`` / ``refresh_column`` / compaction moves
 the generation, so every previously cached entry stops matching *by
 construction*: there is no explicit invalidation hook to forget, and a

@@ -261,12 +261,10 @@ class IndexStats:
     searches: int
     mutations: int
     caches: dict[str, object] = field(default_factory=dict)
-    shards: int = 1
-    quantized: bool = False
     graph: dict[str, object] | None = None
     #: Durable-store counters (``None`` when the service is in-memory only).
     durability: dict[str, object] | None = None
-    #: Degraded-mode snapshot (tier, recent sheds, effective rerank) —
+    #: Degraded-mode snapshot (tier, recent sheds, path-hop cap) —
     #: ``None`` only for stats built by pre-degradation callers.
     degradation: dict[str, object] | None = None
     #: Deadline-expiry counters for the serving path.
@@ -284,8 +282,6 @@ class IndexStats:
             "searches": self.searches,
             "mutations": self.mutations,
             "caches": dict(self.caches),
-            "shards": self.shards,
-            "quantized": self.quantized,
         }
         if self.graph is not None:
             payload["graph"] = dict(self.graph)

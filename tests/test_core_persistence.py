@@ -1,8 +1,8 @@
 """Tests for repro.core.persistence: index artifact save/load.
 
 Covers the current format-3 artifact (uncompressed, memory-mapped,
-zero-copy arena adoption), the ``compress=True`` opt-in, legacy format-1
-and format-2 compatibility, and sharded-engine round trips.
+zero-copy arena adoption), the ``compress=True`` opt-in, and legacy
+format-1 and format-2 compatibility.
 """
 
 from __future__ import annotations
@@ -149,45 +149,6 @@ class TestLegacyFormats:
     def test_unsupported_version_rejected(self, indexed_system, tmp_path):
         with pytest.raises(ValueError):
             _save_legacy(indexed_system, tmp_path / "v9.npz", version=9)
-
-
-class TestShardedAndQuantized:
-    @pytest.fixture()
-    def sharded_system(self, toy_connector) -> WarpGate:
-        system = WarpGate(WarpGateConfig(threshold=0.3, n_shards=3))
-        system.index_corpus(toy_connector)
-        return system
-
-    def test_sharded_round_trip(self, sharded_system, tmp_path):
-        artifact = save_index(sharded_system, tmp_path / "sharded.npz")
-        restored = load_index(artifact)
-        assert restored.config.n_shards == 3
-        assert restored.indexed_count == sharded_system.indexed_count
-        # The sharded restore re-partitions through bulk_load (which
-        # re-normalizes, like the legacy path) — equality to float32
-        # precision, not bitwise like the 1-shard zero-copy adoption.
-        for ref in sharded_system.indexed_refs:
-            assert np.allclose(
-                restored.vector_of(ref), sharded_system.vector_of(ref), atol=1e-6
-            )
-
-    def test_sharded_results_match_single(self, sharded_system, tmp_path, toy_connector):
-        single = WarpGate(WarpGateConfig(threshold=0.3))
-        single.index_corpus(toy_connector)
-        restored = load_index(save_index(sharded_system, tmp_path / "s.npz"))
-        query_ref = ColumnRef("db", "customers", "company")
-        vector = single.vector_of(query_ref)
-        assert (
-            restored.search_vector(vector, 3, exclude=query_ref).refs
-            == single.search_vector(vector, 3, exclude=query_ref).refs
-        )
-
-    def test_quantized_config_round_trips(self, toy_connector, tmp_path):
-        system = WarpGate(WarpGateConfig(threshold=0.3, quantize=True))
-        system.index_corpus(toy_connector)
-        restored = load_index(save_index(system, tmp_path / "q.npz"))
-        assert restored.config.quantize
-        assert restored._index.quantizer is not None
 
 
 class TestSearchVector:

@@ -193,9 +193,9 @@ def all_paths_snapshot(graph: JoinGraph) -> dict:
 class TestChurnEquivalence:
     """`find_paths` after add/drop/refresh churn matches a from-scratch build.
 
-    Mirrors the sharded-vs-1-shard equivalence style: one graph rides an
-    engine through random mutations (with the service's invalidation
-    discipline), the other is built fresh over the surviving content.
+    One graph rides an engine through random mutations (with the
+    service's invalidation discipline), the other is built fresh over the
+    surviving content.
     """
 
     @settings(max_examples=10, deadline=None)

@@ -191,37 +191,6 @@ class TestTombstones:
         assert arena.key_at(row) == "fresh"
 
 
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        arena = make_arena(signature_words=2)
-        for position in range(12):
-            arena.add(
-                f"k{position}",
-                unit(position),
-                np.array([position, position * 3], dtype=np.uint64),
-            )
-        arena.remove("k4")
-        path = arena.save(tmp_path / "arena.npz")
-        restored = VectorArena.load(path)
-        assert restored.keys() == arena.keys()
-        assert restored.signature_words == 2
-        for key in arena.keys():
-            assert np.array_equal(restored.vector_of(key), arena.vector_of(key))
-            assert np.array_equal(
-                restored.signatures[restored.row_of(key)],
-                arena.signatures[arena.row_of(key)],
-            )
-        # Tombstones never ship: the restored arena is dense.
-        assert restored.dead_count == 0
-
-    def test_roundtrip_without_signatures(self, tmp_path):
-        arena = make_arena()
-        arena.add("only", unit(7))
-        restored = VectorArena.load(arena.save(tmp_path / "plain.npz"))
-        assert restored.keys() == ["only"]
-        assert restored.signature_words == 0
-
-
 BACKENDS = {
     "lsh": lambda: SimHashLSHIndex(DIM, n_bits=64, n_bands=16),
     "exact": lambda: ExactCosineIndex(DIM),
@@ -300,20 +269,6 @@ class TestMutationGeneration:
             assert after_add > 0
             index.update("a", unit(2))  # remove + add: moves at least once
             assert index.mutation_generation > after_add
-
-    def test_sharded_sum_is_monotonic_across_shards(self):
-        from repro.index.sharding import ShardedIndex
-
-        index = ShardedIndex(DIM, lambda: ExactCosineIndex(DIM), n_shards=3)
-        seen = [index.mutation_generation]
-        for key in range(12):
-            index.add(key, unit(key))
-            seen.append(index.mutation_generation)
-        for key in range(0, 12, 2):
-            index.remove(key)
-            seen.append(index.mutation_generation)
-        assert seen == sorted(seen)
-        assert len(set(seen)) == len(seen)  # strictly increasing
 
     def test_compaction_threshold_churn_keeps_counting(self):
         arena = make_arena()

@@ -3,16 +3,16 @@
 Three contracts are pinned here:
 
 * ``select_topk`` — the only top-k cut under ``repro.index`` — keeps the
-  ``limit`` largest scores *and every boundary tie*, so ``_assemble`` and
-  ``ShardedIndex._merge_topk`` rank exactly like a naive full
-  ``sorted(key=(-score, str(key)))``, exclusion included;
+  ``limit`` largest scores *and every boundary tie*, so ``_assemble``
+  ranks exactly like a naive full ``sorted(key=(-score, str(key)))``,
+  exclusion included;
 * the dense plan (score the whole arena, mask the scores) and the
   gathered plan (gather the candidates, score those) of ``query`` answer
   identically, and both equal brute-force cosine ∧ "shares a band with
   the query", with tombstones present and again after a compaction;
-* ``search_batch`` equals per-row ``query`` on every backend, plain,
-  quantized and sharded, at block sizes on both sides of the GEMM
-  orientation switch, with per-query excludes and at ``threshold=-1``.
+* ``search_batch`` equals per-row ``query`` on every backend at block
+  sizes on both sides of the GEMM orientation switch, with per-query
+  excludes and at ``threshold=-1``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.index.arena import select_topk
 from repro.index.exact import ExactCosineIndex
 from repro.index.lsh import SimHashLSHIndex
 from repro.index.pivot import PivotFilterIndex
-from repro.index.sharding import ShardedIndex
 
 DIM = 24
 BACKENDS = ["lsh", "exact", "pivot"]
@@ -94,13 +93,6 @@ class TestSelectionKernel:
         array = np.asarray(scores, dtype=np.float32)
         got = index._assemble(np.arange(array.size), array, k, exclude)
         assert got == naive_rank(list(enumerate(array.tolist())), k, exclude)
-
-    @given(scores=tied_scores, k=st.integers(1, 12), n_parts=st.integers(1, 4))
-    @settings(max_examples=100, deadline=None)
-    def test_shard_merge_equals_a_full_sort(self, scores, k, n_parts):
-        pairs = list(enumerate(np.asarray(scores, dtype=np.float32).tolist()))
-        parts = [naive_rank(pairs[part::n_parts], k) for part in range(n_parts)]
-        assert ShardedIndex._merge_topk(parts, k) == naive_rank(pairs, k)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(
@@ -171,28 +163,22 @@ class TestPlanParity:
         self.check_both_plans(index, queries, monkeypatch)
 
 
-def variant(backend: str, kind: str):
-    """A loaded (index, n_rows) pair of one backend in one configuration."""
+def loaded(backend: str):
+    """A loaded (index, points) pair of one backend, with tombstones."""
     points = cloud(160, f"variant-{backend}")
-    if kind == "sharded":
-        index = ShardedIndex(DIM, lambda: make_index(backend), n_shards=4)
-    else:
-        index = make_index(backend)
+    index = make_index(backend)
     index.bulk_load(list(range(160)), points)
     for key in range(20, 40):
         index.remove(key)
-    if kind == "quantized":
-        index.enable_quantization(4)
     index.build()
     return index, points
 
 
-@pytest.mark.parametrize("kind", ["plain", "quantized", "sharded"])
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBatchEqualsPerRowQuery:
     @pytest.mark.parametrize("block", [1, 2, 8, 32])
-    def test_with_per_query_excludes(self, backend, kind, block):
-        index, points = variant(backend, kind)
+    def test_with_per_query_excludes(self, backend, block):
+        index, points = loaded(backend)
         sources = [key for key in range(160) if key not in range(20, 40)][:block]
         queries = points[sources] * 0.9 + cloud(block, ("noise", block)) * 0.3
         batch = index.search_batch(queries, 6, excludes=sources)
@@ -201,14 +187,14 @@ class TestBatchEqualsPerRowQuery:
             assert source not in [key for key, _ in got]
             assert_same_answer(got, index.query(vector, 6, exclude=source))
 
-    def test_permissive_floor(self, backend, kind):
+    def test_permissive_floor(self, backend):
         """``threshold=-1``: every candidate clears the floor (on the exact
         backend, every live row of every query — the old pair expansion's
         O(q·n) case)."""
-        index, points = variant(backend, kind)
+        index, points = loaded(backend)
         queries = cloud(8, "permissive")
         batch = index.search_batch(queries, 150, threshold=-1.0)
         for vector, got in zip(queries, batch):
             assert_same_answer(got, index.query(vector, 150, threshold=-1.0))
-        if backend == "exact" and kind != "quantized":
+        if backend == "exact":
             assert all(len(got) == 140 for got in batch)

@@ -53,6 +53,26 @@ class TestSubpackageExports:
 
         for name in index.__all__:
             assert getattr(index, name) is not None
+        # One layout: the arena, three backends over it, and their helpers.
+        assert set(index.__all__) == {
+            "ColumnarIndex",
+            "ExactCosineIndex",
+            "MinHashIndex",
+            "MinHashSignature",
+            "PivotFilterIndex",
+            "SimHashFamily",
+            "SimHashLSHIndex",
+            "VectorArena",
+            "hamming_distance",
+            "load_npz_arrays",
+            "pack_band_keys",
+            "signature_cosine",
+        }
+
+    def test_config_has_exactly_the_remaining_fields(self):
+        from dataclasses import fields
+
+        assert len(fields(repro.WarpGateConfig)) == 28
 
     def test_service_surface(self):
         from repro import service

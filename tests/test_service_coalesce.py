@@ -6,9 +6,8 @@ Three layers of evidence:
   executor (fast path, batch formation, ``max_batch``, per-request error
   isolation, executor-failure recovery);
 * concurrency tests fire barrier-synchronized clients through
-  ``search_coalesced`` on every backend variant (lsh / exact / pivot,
-  sharded, quantized) and require results identical to the sequential
-  reference path;
+  ``search_coalesced`` on every backend (lsh / exact / pivot) and
+  require results identical to the sequential reference path;
 * a hypothesis churn test interleaves add/drop/refresh mutations with
   coalesced searches and checks every response against the library
   engine's uncached pipeline — which also pins the query cache's
@@ -45,9 +44,6 @@ VARIANTS = {
     "lsh": {"search_backend": "lsh"},
     "exact": {"search_backend": "exact"},
     "pivot": {"search_backend": "pivot"},
-    "lsh-sharded": {"search_backend": "lsh", "n_shards": 4},
-    "exact-sharded": {"search_backend": "exact", "n_shards": 3},
-    "exact-quantized": {"search_backend": "exact", "quantize": True},
 }
 
 

@@ -20,7 +20,6 @@ from repro.core.config import WarpGateConfig
 from repro.index.exact import ExactCosineIndex
 from repro.index.lsh import SimHashLSHIndex
 from repro.index.pivot import PivotFilterIndex
-from repro.index.sharding import ShardedIndex
 from repro.service import DiscoveryService, QueryResultCache
 from repro.storage.column import Column
 from repro.storage.schema import ColumnRef
@@ -83,9 +82,7 @@ def _make_index(backend: str):
         return SimHashLSHIndex(DIM, n_bits=32, n_bands=8, threshold=FLOOR)
     if backend == "exact":
         return ExactCosineIndex(DIM)
-    if backend == "pivot":
-        return PivotFilterIndex(DIM, threshold=FLOOR)
-    return ShardedIndex(DIM, lambda: ExactCosineIndex(DIM), n_shards=3)
+    return PivotFilterIndex(DIM, threshold=FLOOR)
 
 
 _OPS = st.lists(
@@ -100,7 +97,7 @@ _OPS = st.lists(
 
 
 @settings(max_examples=600, deadline=None)
-@given(ops=_OPS, backend=st.sampled_from(["lsh", "exact", "pivot", "sharded"]))
+@given(ops=_OPS, backend=st.sampled_from(["lsh", "exact", "pivot"]))
 def test_generation_keyed_hits_always_equal_fresh_probes(ops, backend):
     """A cache hit is byte-equal to re-probing; staleness cannot hit.
 
@@ -108,8 +105,8 @@ def test_generation_keyed_hits_always_equal_fresh_probes(ops, backend):
     ``mutation_generation`` and cross-checks any hit against a fresh
     index probe.  If some mutation path failed to move the generation,
     an old entry would hit with outdated candidates and the comparison
-    would fail.  600 randomized histories across all four backend
-    shapes, each with up to 14 interleaved mutations/queries.
+    would fail.  600 randomized histories across the three backends,
+    each with up to 14 interleaved mutations/queries.
     """
     index = _make_index(backend)
     cache = QueryResultCache(64)

@@ -195,7 +195,6 @@ class TestDegradationPolicy:
         assert policy.tier() == DegradationPolicy.TIER_NORMAL
         assert not policy.is_degraded
         assert policy.max_hops_cap() is None
-        assert policy.rerank_factor_for(8) == 8
 
     def test_escalates_at_threshold(self):
         policy, _ = self._policy()
@@ -215,15 +214,12 @@ class TestDegradationPolicy:
         policy, _ = self._policy()
         for _ in range(4):
             policy.record_shed()
-        assert policy.rerank_factor_for(8) == 4  # halved at tier 1
-        assert policy.rerank_factor_for(1) == 1  # never below the floor
         assert policy.max_hops_cap() == 1
 
-    def test_critical_drops_rerank_to_floor(self):
+    def test_critical_keeps_the_hop_cap(self):
         policy, _ = self._policy()
         for _ in range(8):
             policy.record_shed()
-        assert policy.rerank_factor_for(8) == 1
         assert policy.max_hops_cap() == 1
 
     def test_sheds_outside_window_are_forgotten(self):
