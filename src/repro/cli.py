@@ -19,13 +19,6 @@ Commands
 ``graph``
     Build the join graph over a CSV directory, answer multi-hop path
     queries (``--src``/``--dst``), or export it as DOT/JSON.
-``bench``
-    Run the index perf suite (build / single-query / batched-search
-    timings per corpus size) and write the machine-readable
-    ``BENCH_index.json`` report tracked across PRs.
-``bench-compare``
-    Diff the last two same-profile ``BENCH_history.jsonl`` entries and
-    fail when any headline metric regressed beyond the noise band.
 
 All commands route through the :class:`~repro.service.DiscoveryService`
 facade — the same code path applications are expected to use.
@@ -216,272 +209,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.eval.perf import (
-        append_history,
-        run_perf_suite,
-        validate_report,
-        write_report,
-    )
-    from repro.eval.report import render_table
-
-    if args.pin_cpus:
-        import os
-
-        if not hasattr(os, "sched_setaffinity"):
-            print("error: --pin-cpus is not supported on this platform", file=sys.stderr)
-            return 2
-        pinned = {int(cpu) for cpu in args.pin_cpus.split(",")}
-        os.sched_setaffinity(0, pinned)
-        print(f"pinned to cpu(s) {sorted(pinned)}")
-    sizes = (
-        tuple(int(size) for size in args.sizes.split(",")) if args.sizes else None
-    )
-    stages = (
-        tuple(stage.strip() for stage in args.stages.split(",") if stage.strip())
-        if args.stages
-        else None
-    )
-    if sizes is not None and len(sizes) < 3 and (stages is None or "results" in stages):
-        # Fail before the (potentially multi-minute) run, not after it:
-        # the report contract requires >= 3 corpus sizes.
-        print(
-            "error: malformed perf report: results must list >= 3 corpus sizes",
-            file=sys.stderr,
-        )
-        return 2
-    report = run_perf_suite(
-        profile=args.profile,
-        sizes=sizes,
-        dim=args.dim,
-        batch_size=args.batch_size,
-        k=args.k,
-        repeats=args.repeats,
-        stages=stages,
-        progress=print,
-    )
-    problems = validate_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: malformed perf report: {problem}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.output)
-    rows = [
-        [
-            row["n_columns"],
-            f"{row['build_bulk_s']:.3f}",
-            f"{row['single_query_ms']:.3f}",
-            f"{row['batch_per_query_ms']:.3f}",
-            f"{row['batch_speedup']:.1f}x",
-            f"{row['candidate_fraction']:.1%}",
-        ]
-        for row in report["results"]
-    ]
-    if rows:
-        print(
-            render_table(
-                ["columns", "build s", "1-query ms", "batch ms/q", "speedup", "cand %"],
-                rows,
-                title=f"Index perf suite ({args.profile} profile)",
-            )
-        )
-    embed_rows = [
-        [
-            row["n_columns"],
-            f"{row['sequential_cols_per_s']:.0f}",
-            f"{row['batched_cols_per_s']:.0f}",
-            f"{row['speedup']:.1f}x",
-            f"{row['cache_hit_rate']:.1%}",
-        ]
-        for row in report["embed"]
-    ]
-    if embed_rows:
-        print(
-            render_table(
-                ["columns", "seq cols/s", "batch cols/s", "speedup", "cache hit %"],
-                embed_rows,
-                title="Embedding throughput (sequential vs batched encode)",
-            )
-        )
-    artifact_rows = [
-        [
-            row["n_columns"],
-            f"{row['load_v2_s'] * 1e3:.1f}",
-            f"{row['load_v3_s'] * 1e3:.1f}",
-            f"{row['load_speedup']:.0f}x",
-        ]
-        for row in report["artifact"]
-    ]
-    if artifact_rows:
-        print(
-            render_table(
-                ["columns", "v2 load ms", "v3 mmap load ms", "speedup"],
-                artifact_rows,
-                title="Artifact cold load (compressed v2 vs mmap v3)",
-            )
-        )
-    serve_rows = [
-        [
-            row["n_columns"],
-            row["clients"],
-            f"{row['qps_baseline']:.0f}",
-            f"{row['qps_engine']:.0f}",
-            f"{row['coalesced_speedup']:.2f}x",
-            f"{row['p99_engine_ms']:.1f}",
-            f"{row['cache_hit_rate']:.0%}",
-            f"{row['mean_batch']:.1f}",
-        ]
-        for row in report["serve"]
-    ]
-    if serve_rows:
-        print(
-            render_table(
-                [
-                    "columns",
-                    "clients",
-                    "base qps",
-                    "engine qps",
-                    "speedup",
-                    "p99 ms",
-                    "cache hit",
-                    "batch",
-                ],
-                serve_rows,
-                title="HTTP serving engine (thread-per-request vs pool+coalesce+cache)",
-            )
-        )
-    overload_rows = [
-        [
-            row["n_columns"],
-            f"{row['workers']}/{row['queue_depth']}",
-            f"{row['p99_unsat_ms']:.1f}",
-            f"{row['goodput_4x']:.0f}",
-            f"{row['shed_rate_4x']:.0%}",
-            f"{row['shed_p99_4x_ms']:.2f}",
-            f"{row['deadline_miss_rate_4x']:.1%}",
-            f"{row['accepted_p99_4x_ms']:.1f}",
-            "yes" if row["recovered"] else "NO",
-        ]
-        for row in report.get("overload", [])
-    ]
-    if overload_rows:
-        print(
-            render_table(
-                [
-                    "columns",
-                    "wrk/queue",
-                    "1x p99 ms",
-                    "4x goodput",
-                    "4x shed",
-                    "shed p99 ms",
-                    "miss 504",
-                    "4x p99 ms",
-                    "recovered",
-                ],
-                overload_rows,
-                title="Overload shedding (admission control at 4x offered load)",
-            )
-        )
-    graph_rows = [
-        [
-            row["n_columns"],
-            row["n_tables"],
-            row["n_edges"],
-            f"{row['build_full_s']:.2f}",
-            f"{row['incremental_update_s'] * 1e3:.1f}",
-            f"{row['incremental_speedup']:.0f}x",
-            f"{row['path_query_ms']:.2f}",
-            f"{row['path_prune_speedup']:.1f}x",
-        ]
-        for row in report["graph"]
-    ]
-    if graph_rows:
-        print(
-            render_table(
-                [
-                    "columns",
-                    "tables",
-                    "edges",
-                    "full build s",
-                    "incr ms",
-                    "speedup",
-                    "path q ms",
-                    "prune x",
-                ],
-                graph_rows,
-                title="Join graph (full rebuild vs incremental table update)",
-            )
-        )
-    durability_rows = [
-        [
-            row["n_columns"],
-            row["wal_records"],
-            f"{row['wal_append_ms']:.3f}",
-            f"{row['wal_append_nofsync_ms']:.3f}",
-            f"{row['inmem_update_ms']:.3f}",
-            f"{row['wal_overhead_x']:.1f}x",
-            f"{row['checkpoint_s']:.3f}",
-            f"{row['recovery_s']:.3f}",
-        ]
-        for row in report.get("durability", [])
-    ]
-    if durability_rows:
-        print(
-            render_table(
-                [
-                    "columns",
-                    "wal recs",
-                    "append ms",
-                    "nofsync ms",
-                    "in-mem ms",
-                    "overhead",
-                    "ckpt s",
-                    "recover s",
-                ],
-                durability_rows,
-                title="Durable store (WAL append overhead, recovery wall time)",
-            )
-        )
-    quality_rows = [
-        [
-            row["dataset_key"],
-            row["system"] + ("" if row["arm"] == "default" else f"[{row['arm']}]"),
-            row["n_queries"],
-            f"{row['p_at_10']:.3f}",
-            f"{row['r_at_10']:.3f}",
-            f"{row['map']:.3f}",
-            f"{row['mrr']:.3f}",
-        ]
-        for row in report.get("quality", [])
-    ]
-    if quality_rows:
-        quality_profile = report["config"]["quality"]["profile"]
-        print(
-            render_table(
-                ["dataset", "system", "queries", "P@10", "R@10", "MAP", "MRR"],
-                quality_rows,
-                title=f"Join quality matrix ({quality_profile} profile, exact backend)",
-            )
-        )
-    print(f"report written to {path}")
-    from repro.eval.perf import ALL_STAGES, BENCH_HISTORY_NAME
-
-    if set(report["stages"]) != set(ALL_STAGES):
-        # A partial run would commit a trajectory entry whose headline
-        # numbers are mostly null; keep the history full-suite only.
-        print("stage subset run: skipping history append")
-        return 0
-    history_target = (
-        args.history
-        if args.history is not None
-        else str(Path(args.output).parent / BENCH_HISTORY_NAME)
-    )
-    if history_target:
-        history = append_history(report, history_target)
-        print(f"history entry appended to {history}")
-    return 0
-
-
 def cmd_graph(args: argparse.Namespace) -> int:
     from repro.eval.report import render_table
     from repro.graph.paths import format_table
@@ -543,25 +270,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
                 title="Top join edges",
             )
         )
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.eval.compare import DEFAULT_TOLERANCE, compare_history, render_comparison
-
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    outcome = compare_history(
-        args.history, profile=args.profile or None, tolerance=tolerance
-    )
-    print(render_comparison(outcome))
-    regressions = outcome["regressions"]
-    if regressions:
-        print(
-            f"error: {len(regressions)} metric(s) regressed beyond the "
-            f"{tolerance:.0%} noise band: {', '.join(regressions)}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -795,75 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpora", default="", help="comma-separated subset (default: all)"
     )
     stats.set_defaults(handler=cmd_corpus_stats)
-
-    bench = subparsers.add_parser(
-        "bench", help="run the index perf suite and write BENCH_index.json"
-    )
-    bench.add_argument(
-        "--profile",
-        default="full",
-        choices=("fast", "full"),
-        help="suite scale: 'full' is the committed baseline, 'fast' the CI smoke",
-    )
-    bench.add_argument(
-        "--sizes",
-        default="",
-        help="comma-separated corpus sizes overriding the profile (need >= 3)",
-    )
-    bench.add_argument(
-        "--stages",
-        default="",
-        help="comma-separated subset of stages to run (default: all); "
-        "choices: results, embed, artifact, serve, overload, "
-        "graph, durability, quality; subset runs skip the history append",
-    )
-    bench.add_argument("--dim", type=int, default=256, help="embedding dimensionality")
-    bench.add_argument(
-        "--batch-size", type=int, default=64, help="queries per batched search"
-    )
-    bench.add_argument("-k", type=int, default=10, help="results per query")
-    bench.add_argument(
-        "--repeats", type=int, default=None, help="best-of-N timing repeats"
-    )
-    bench.add_argument(
-        "--pin-cpus",
-        default="",
-        help="comma-separated CPU ids to pin the suite to "
-        "(sched_setaffinity; recorded in environment.cpu_affinity)",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_index.json", help="report path (JSON)"
-    )
-    bench.add_argument(
-        "--history",
-        default=None,
-        help="bench-trajectory file to append (git SHA + timestamp + "
-        "headline numbers); defaults to BENCH_history.jsonl next to "
-        "--output, pass an empty string to skip",
-    )
-    bench.set_defaults(handler=cmd_bench)
-
-    compare = subparsers.add_parser(
-        "bench-compare",
-        help="diff the last two same-profile bench history entries; "
-        "exit 1 on regression",
-    )
-    compare.add_argument(
-        "--history", default="BENCH_history.jsonl", help="bench-trajectory file"
-    )
-    compare.add_argument(
-        "--profile",
-        default="",
-        choices=("", "fast", "full"),
-        help="profile whose entries to compare (default: the latest entry's)",
-    )
-    compare.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="fractional noise band before a change counts as a regression",
-    )
-    compare.set_defaults(handler=cmd_bench_compare)
 
     return parser
 

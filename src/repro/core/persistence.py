@@ -11,26 +11,23 @@ packed ``uint64`` SimHash band keys — plus a JSON header with the column
 refs and the config fields needed to rebuild the search backend
 identically.  Loading never touches the warehouse.
 
-Format history
---------------
-* **format 3** (current): *uncompressed* archive; refs ship as a
-  fixed-width unicode member (no pickling, C-speed parse).  Stored
-  members are memory-mapped on load (:mod:`repro.index.mmapio`) and
-  adopted zero-copy into the arena with derived structures left to lazy
-  resynchronization, so a cold process maps a multi-GB index in
-  milliseconds — O(refs), independent of ``dim`` — and pages vectors in
-  lazily as queries touch them.  ``compress=True`` opts back into
-  deflate (smaller file, in-memory load).
-* **format 2**: compressed archive, pickled ref array, ``float32``
-  vectors + signatures; restored through the bulk-load path.
-* **format 1**: compressed, ``float64`` vectors, no signatures; the
-  signatures are rehashed from the stored vectors on load.
-
-All three load; only format 3 is written.
+Format
+------
+Format 3 is the only format written or read: an *uncompressed* archive
+whose refs ship as a fixed-width unicode member (no pickling, C-speed
+parse).  Stored members are memory-mapped on load
+(:mod:`repro.index.mmapio`) and adopted zero-copy into the arena with
+derived structures left to lazy resynchronization, so a cold process
+maps a multi-GB index in milliseconds — O(refs), independent of ``dim``
+— and pages vectors in lazily as queries touch them.  ``compress=True``
+opts back into deflate (smaller file, in-memory load).  Older formats
+pickled their refs; they are rejected by header, before any other member
+is read, with a message to rebuild the artifact.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import zipfile
@@ -56,7 +53,6 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 def _write_npz_atomic(path: Path, payload: dict, *, compress: bool) -> Path:
@@ -143,43 +139,29 @@ def save_index(system, path: str | Path, *, compress: bool = False) -> Path:
     return _write_npz_atomic(path, payload, compress=compress)
 
 
-def _save_legacy(system, path: str | Path, *, version: int) -> Path:
-    """Write a format-1/2 artifact (tests + load-compat benchmarks only).
-
-    Replicates what earlier releases wrote: compressed archive, pickled
-    ref array; format 1 additionally downcasts to the old ``float64``
-    no-signature payload.
-    """
-    if version not in (1, 2):
-        raise ValueError(f"legacy writer supports formats 1 and 2, got {version}")
-    system = getattr(system, "engine", system)
-    if not system.is_indexed:
-        raise DiscoveryError("cannot save an unindexed WarpGate")
-    path = Path(path)
-    refs, vectors, signatures = _export_sorted(system)
-    raw_refs = np.empty(len(refs), dtype=object)
-    raw_refs[:] = [[ref.database, ref.table, ref.column] for ref in refs]
-    header = {"format_version": version, "config": asdict(system.config)}
-    payload: dict[str, np.ndarray] = {
-        "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        "refs": raw_refs,
-        "vectors": (
-            vectors.astype(np.float64) if version == 1 else vectors
-        ),
-    }
-    if version == 2 and signatures is not None:
-        payload["signatures"] = signatures
-    return _write_npz_atomic(path, payload, compress=True)
+def _read_header(path: Path) -> dict:
+    """Parse the ``header`` member alone, before any other member is read."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            raw = archive.read("header.npy")
+        header = np.load(io.BytesIO(raw), allow_pickle=False)
+        return json.loads(header.tobytes().decode("utf-8"))
+    except KeyError as error:
+        raise ArtifactCorruptionError(path, member="header", detail="missing") from error
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ArtifactCorruptionError(path, member="header", detail=str(error)) from error
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError) as error:
+        raise ArtifactCorruptionError(path, detail=str(error)) from error
 
 
 def load_index(path: str | Path) -> WarpGate:
     """Rebuild a searchable WarpGate from a saved artifact.
 
-    Format-3 artifacts restore zero-copy: the vector (and signature)
-    members stay memory-mapped and the arena adopts them directly, so the
-    load cost is O(refs), not O(n·dim) — the OS pages vector data in
-    lazily.  Format-1/2 artifacts take the legacy decompress + bulk-load
-    path.
+    The artifact restores zero-copy: the vector (and signature) members
+    stay memory-mapped and the arena adopts them directly, so the load
+    cost is O(refs), not O(n·dim) — the OS pages vector data in lazily.
+    An artifact of any other format raises :class:`DiscoveryError`
+    naming the format, before any other member is read.
 
     The restored system answers :meth:`~repro.core.warpgate.WarpGate.search`
     only through pre-embedded queries (no connector is attached); use
@@ -193,24 +175,19 @@ def load_index(path: str | Path) -> WarpGate:
     # A truncated download, a bit flip, or a non-archive file must
     # surface as one typed error naming the path (and, when known, the
     # member) — never a raw zipfile/numpy traceback from the loader's
-    # guts, and never a silently wrong index.
+    # guts, and never a silently wrong index.  The version is checked
+    # before any other member is read, and no member is ever unpickled.
+    header = _read_header(path)
+    version = header.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise DiscoveryError(
+            f"index artifact {path} has format {version!r}; only format "
+            f"{_FORMAT_VERSION} loads — rebuild it with `python -m repro index`"
+        )
     try:
-        payload = load_npz_arrays(path, allow_pickle=True)
+        payload = load_npz_arrays(path)
     except (zipfile.BadZipFile, ValueError, EOFError, OSError) as error:
         raise ArtifactCorruptionError(path, detail=str(error)) from error
-    if "header" not in payload:
-        raise ArtifactCorruptionError(path, member="header", detail="missing")
-    try:
-        header = json.loads(
-            bytes(np.asarray(payload["header"]).tobytes()).decode("utf-8")
-        )
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ArtifactCorruptionError(
-            path, member="header", detail=str(error)
-        ) from error
-    version = header.get("format_version")
-    if version not in _SUPPORTED_VERSIONS:
-        raise DiscoveryError(f"unsupported index format {version!r}")
     config = WarpGateConfig.from_saved(header["config"])
     for member in ("refs", "vectors"):
         if member not in payload:
@@ -234,19 +211,10 @@ def load_index(path: str | Path) -> WarpGate:
                 member=member,
                 detail=f"CRC mismatch ({actual:#010x} != {int(expected):#010x})",
             )
-    if version >= 3:
-        # Fixed-width unicode member → three Python string lists in one
-        # C-speed pass; this loop is on the cold-start critical path.
-        parts = np.asarray(payload["refs"])
-        refs = (
-            list(map(ColumnRef, *parts.T.tolist())) if parts.size else []
-        )
-    else:
-        raw_refs = payload["refs"]
-        refs = [
-            ColumnRef(*(str(part) for part in raw_refs[position]))
-            for position in range(len(raw_refs))
-        ]
+    # Fixed-width unicode member → three Python string lists in one
+    # C-speed pass; this loop is on the cold-start critical path.
+    parts = np.asarray(payload["refs"])
+    refs = list(map(ColumnRef, *parts.T.tolist())) if parts.size else []
     system = WarpGate(config)
     if refs:
         index = system._index
@@ -256,12 +224,9 @@ def load_index(path: str | Path) -> WarpGate:
             # Backend/banding drift (shouldn't happen — the config travels
             # with the artifact); rehash rather than load bad keys.
             signatures = None
-        if version >= 3:
-            # Zero-copy: the arena adopts the (typically memory-mapped)
-            # artifact members without a normalization or copy pass.
-            index.adopt_rows(refs, vectors, signatures)
-        else:
-            index.bulk_load(refs, np.asarray(vectors), signatures=signatures)
+        # Zero-copy: the arena adopts the (typically memory-mapped)
+        # artifact members without a normalization or copy pass.
+        index.adopt_rows(refs, vectors, signatures)
         system._indexed = True
     return system
 

@@ -381,7 +381,7 @@ class DurableIndexStore:
         from repro.index.mmapio import load_npz_arrays
 
         try:
-            payload = load_npz_arrays(path, allow_pickle=False)
+            payload = load_npz_arrays(path)
             refs = _parts_to_refs(payload["refs"])
             vectors = np.asarray(payload["vectors"], dtype=np.float32)
         except (KeyError, ValueError, OSError) as error:

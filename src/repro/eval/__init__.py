@@ -5,8 +5,7 @@ recall averaged over all queries at each k, plus index lookup time and
 end-to-end query response time in seconds per query.
 """
 
-from repro.eval.perf import run_perf_suite, validate_report, write_report
-from repro.eval.quality import quality_headline, run_quality_suite
+from repro.eval.quality import run_quality_suite
 from repro.eval.metrics import (
     PRPoint,
     mean_average_precision,
@@ -28,14 +27,10 @@ __all__ = [
     "mean_average_precision",
     "pr_curve",
     "precision_at_k",
-    "quality_headline",
     "recall_at_k",
     "reciprocal_rank",
     "render_pr_figure",
     "render_table",
-    "run_perf_suite",
     "run_quality_suite",
     "summarize_timings",
-    "validate_report",
-    "write_report",
 ]

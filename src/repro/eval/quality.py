@@ -1,6 +1,6 @@
 """Join-quality scenario suite: the paper's Figure-4 evidence, measured.
 
-The perf suite (:mod:`repro.eval.perf`) tracks *speed*; this module tracks
+The repo benchmark (``bench/``) tracks *speed*; this module tracks
 *quality* — the paper's headline claim.  It materializes ground-truth
 joinable pairs for every built-in corpus (NextiaJD containment labelling
 via :func:`repro.datasets.quality.compute_ground_truth` where the
@@ -27,9 +27,9 @@ Datasets
   qualitatively); the harness labels it post hoc with the same
   containment rule so all three corpora are measured identically.
 
-Results ride ``python -m repro bench`` as the ``quality`` stage —
-committed to ``BENCH_index.json``, headlined in ``BENCH_history.jsonl``,
-and gated by ``bench-compare`` exactly like the perf stages.
+``benchmarks/bench_quality_matrix.py`` regenerates the committed ``full``
+matrix; ``tests/test_eval_quality.py`` pins the ``small`` profile's
+orderings in tier-1.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "QUALITY_KS",
     "QUALITY_PROFILES",
     "WARPGATE_ARMS",
-    "quality_headline",
     "run_quality_suite",
 ]
 
@@ -60,14 +59,10 @@ WARPGATE_ARMS = (
     "hybrid",
 )
 
-#: The dataset whose rows feed the headline metrics: the NextiaJD-style
-#: containment workload the hybrid-vs-cosine claim is stated over.
-HEADLINE_DATASET = "nextiajd"
-
 #: Named harness profiles.  ``full`` is the committed baseline matrix
-#: (every dataset × every arm); ``small`` keeps the CI quality-smoke job
+#: (every dataset × every arm); ``small`` keeps the tier-1 recall pins
 #: fast while still covering the headline systems (WarpGate cosine +
-#: hybrid, Aurum, D3L) so the recall gate has all four numbers.
+#: hybrid, Aurum, D3L) on the NextiaJD containment workload.
 QUALITY_PROFILES: dict[str, dict] = {
     "full": {
         "datasets": ("nextiajd", "spider", "sigma"),
@@ -187,10 +182,9 @@ def run_quality_suite(
 ) -> dict:
     """Run the (dataset × system × arm) quality matrix.
 
-    Returns ``{"profile", "ks", "rows", "headline"}``: one row per matrix
-    cell carrying ``p_at_k`` / ``r_at_k`` for every k, MAP, MRR, the
-    answered-query count, and index/eval wall times; ``headline`` is the
-    :func:`quality_headline` extraction over the rows.  Every system in a
+    Returns ``{"profile", "ks", "rows"}``: one row per matrix cell
+    carrying ``p_at_k`` / ``r_at_k`` for every k, MAP, MRR, the
+    answered-query count, and index/eval wall times.  Every system in a
     cell gets a fresh instance and a fresh metered connector, so cells
     are independent.
     """
@@ -220,42 +214,4 @@ def run_quality_suite(
             )
             row["dataset_key"] = dataset_key
             rows.append(row)
-    return {
-        "profile": profile,
-        "ks": list(ks),
-        "rows": rows,
-        "headline": quality_headline(rows),
-    }
-
-
-def _headline_cell(rows: list[dict], system: str, arm: str) -> dict | None:
-    for row in rows:
-        if (
-            row.get("dataset_key") == HEADLINE_DATASET
-            and row.get("system") == system
-            and row.get("arm") == arm
-        ):
-            return row
-    return None
-
-
-def quality_headline(rows: list[dict]) -> dict:
-    """Headline recall@10 numbers on the containment workload.
-
-    These are the keys ``append_history`` commits per bench run and
-    ``bench-compare`` gates (direction: higher is better).  Missing cells
-    (subset runs) yield ``None`` values, which the compare gate skips.
-    """
-    cells = {
-        "quality_warpgate_recall_at_10": ("warpgate", "webtable"),
-        "quality_hybrid_recall_at_10": ("warpgate", "hybrid"),
-        "quality_aurum_recall_at_10": ("aurum", "default"),
-        "quality_d3l_recall_at_10": ("d3l", "default"),
-    }
-    headline: dict[str, object] = {}
-    for key, (system, arm) in cells.items():
-        row = _headline_cell(rows, system, arm)
-        headline[key] = None if row is None else row.get("r_at_10")
-    row = _headline_cell(rows, "warpgate", "hybrid")
-    headline["quality_hybrid_map"] = None if row is None else row.get("map")
-    return headline
+    return {"profile": profile, "ks": list(ks), "rows": rows}

@@ -14,9 +14,9 @@ local header and npy header, and hands back ``np.memmap`` views directly
 into the archive — the OS pages vector data in lazily as queries touch
 it, and opening a multi-GB artifact costs milliseconds.
 
-Members that cannot be mapped — deflated (compressed) members, object
-(pickled) arrays, non-``.npy`` entries — fall back to a regular in-memory
-read, so the loader works uniformly across artifact generations.
+Members that cannot be mapped — deflated (compressed) members, non-``.npy``
+entries — fall back to a regular in-memory read.  Nothing is ever
+unpickled: an object-array member raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _mmap_member(path: Path, raw, info: zipfile.ZipInfo) -> np.ndarray | None:
     except ValueError:
         return None
     if dtype.hasobject:
-        return None  # pickled payload; must go through the regular reader
+        return None  # pickled payload; the regular reader refuses it
     return np.memmap(
         path,
         dtype=dtype,
@@ -77,17 +77,15 @@ def _mmap_member(path: Path, raw, info: zipfile.ZipInfo) -> np.ndarray | None:
     )
 
 
-def load_npz_arrays(
-    path: str | Path, *, allow_pickle: bool = False
-) -> dict[str, np.ndarray]:
+def load_npz_arrays(path: str | Path) -> dict[str, np.ndarray]:
     """Load every array of a ``.npz``, memory-mapping what can be mapped.
 
     Returns ``{member_name_without_suffix: array}``.  Stored numeric
     members come back as read-only ``np.memmap`` views into the archive
-    (zero copy, lazy paging); anything else (deflated members, object
-    arrays) is read into memory the normal way.  The archive file remains
-    open for the lifetime of the returned memmaps (the OS handles paging
-    and close-on-drop).
+    (zero copy, lazy paging); deflated members are read into memory the
+    normal way, and an object (pickled) member raises ``ValueError``.
+    The archive file remains open for the lifetime of the returned
+    memmaps (the OS handles paging and close-on-drop).
     """
     path = Path(path)
     arrays: dict[str, np.ndarray] = {}
@@ -102,5 +100,5 @@ def load_npz_arrays(
                     arrays[name] = mapped
                     continue
                 payload = io.BytesIO(archive.read(info.filename))
-                arrays[name] = np.load(payload, allow_pickle=allow_pickle)
+                arrays[name] = np.load(payload, allow_pickle=False)
     return arrays

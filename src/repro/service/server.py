@@ -56,7 +56,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from repro.errors import ReproError
 from repro.service.discovery import DiscoveryService
@@ -66,7 +66,6 @@ from repro.storage.table import Table
 
 __all__ = [
     "DiscoveryHTTPServer",
-    "ThreadPerRequestHTTPServer",
     "make_server",
     "serve",
 ]
@@ -349,9 +348,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route_stats(self) -> tuple[int, dict[str, object]]:
         payload = self.server.service.stats().to_dict()
-        admission = getattr(self.server, "admission_stats", None)
-        if callable(admission):
-            payload["admission"] = admission()
+        payload["admission"] = self.server.admission_stats()
         return 200, payload
 
     def _route_graph_stats(self) -> tuple[int, dict[str, object]]:
@@ -823,35 +820,6 @@ class DiscoveryHTTPServer(HTTPServer):
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
         self.server_close()
-
-
-class ThreadPerRequestHTTPServer(ThreadingHTTPServer):
-    """The pre-pool serving architecture, kept as the benchmark baseline.
-
-    One thread is spawned per accepted connection (``ThreadingHTTPServer``
-    semantics) and torn down with it — under per-request connections that
-    is literally a thread per request.  The ``serve`` stage of the perf
-    suite measures the worker-pool engine against this, so the comparison
-    stays honest as both evolve.  Not used by ``python -m repro serve``.
-    """
-
-    daemon_threads = True
-    request_queue_size = 128
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: DiscoveryService,
-        *,
-        verbose: bool = False,
-        keepalive_idle_s: float = 5.0,
-    ) -> None:
-        super().__init__(address, _Handler)
-        self.service = service
-        self.verbose = verbose
-        self.keepalive_idle_s = keepalive_idle_s
-        self.max_body_bytes = _MAX_BODY_BYTES
-        self.body_read_timeout_s = _BODY_READ_TIMEOUT_S
 
 
 def make_server(

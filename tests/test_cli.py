@@ -56,7 +56,6 @@ class TestParser:
             ["query", "a.npz", "dir", "t.c"],
             ["demo"],
             ["corpus-stats"],
-            ["bench"],
         ],
     )
     def test_commands_parse(self, argv):
@@ -124,60 +123,6 @@ class TestIndexAndQuery:
         output = capsys.readouterr().out
         assert code == 0
         assert "ratings.vendor" in output
-
-
-class TestBench:
-    def test_writes_valid_report(self, tmp_path, capsys):
-        import json
-
-        from repro.eval.perf import validate_report
-
-        output = tmp_path / "BENCH_index.json"
-        code = main(
-            [
-                "bench",
-                "--profile",
-                "fast",
-                "--sizes",
-                "60,90,120",
-                "--repeats",
-                "1",
-                "--dim",
-                "32",
-                "--batch-size",
-                "8",
-                "--output",
-                str(output),
-            ]
-        )
-        assert code == 0
-        assert "Index perf suite" in capsys.readouterr().out
-        payload = json.loads(output.read_text(encoding="utf-8"))
-        assert validate_report(payload) == []
-        assert [row["n_columns"] for row in payload["results"]] == [60, 90, 120]
-
-    def test_bad_profile_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--profile", "huge"])
-
-    def test_too_few_sizes_is_error(self, tmp_path, capsys):
-        code = main(
-            [
-                "bench",
-                "--sizes",
-                "50,80",
-                "--repeats",
-                "1",
-                "--dim",
-                "16",
-                "--batch-size",
-                "4",
-                "--output",
-                str(tmp_path / "out.json"),
-            ]
-        )
-        assert code == 2
-        assert "malformed" in capsys.readouterr().err
 
 
 class TestCorpusStats:

@@ -1,21 +1,30 @@
 """Tests for repro.core.persistence: index artifact save/load.
 
-Covers the current format-3 artifact (uncompressed, memory-mapped,
-zero-copy arena adoption), the ``compress=True`` opt-in, and legacy
-format-1 and format-2 compatibility.
+Covers the format-3 artifact (uncompressed, memory-mapped, zero-copy
+arena adoption), the ``compress=True`` opt-in, and the refusal of older
+formats and pickled members.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import pickle
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.core.config import WarpGateConfig
-from repro.core.persistence import _save_legacy, load_index, save_index
+from repro.core.persistence import (
+    load_index,
+    load_index_durable,
+    save_index,
+    save_index_durable,
+)
 from repro.core.warpgate import WarpGate
-from repro.errors import DiscoveryError
+from repro.errors import ArtifactCorruptionError, DiscoveryError
 from repro.storage.schema import ColumnRef
 from repro.warehouse.connector import WarehouseConnector
 
@@ -125,30 +134,81 @@ class TestFormat3:
         assert restored.search_vector(vector, 3, exclude=query_ref).candidates
 
 
-class TestLegacyFormats:
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_legacy_artifacts_still_load(self, indexed_system, tmp_path, version):
-        artifact = _save_legacy(
-            indexed_system, tmp_path / f"v{version}.npz", version=version
+class _Payload:
+    """Unpickling this touches ``marker``: proof that a pickle ran."""
+
+    def __init__(self, marker) -> None:
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return exec, (f"import pathlib; pathlib.Path({self.marker!r}).touch()",)
+
+
+def _plant_pickled_refs(path, marker, *, header: dict | None = None) -> None:
+    """Rewrite an ``.npz`` so its ``refs`` member is a live object array."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    refs = np.empty(1, dtype=object)
+    refs[0] = _Payload(marker)
+    members["refs"] = refs
+    if header is not None:
+        members["header"] = np.frombuffer(
+            json.dumps(header).encode("utf-8"), dtype=np.uint8
         )
-        restored = load_index(artifact)
-        assert restored.indexed_count == indexed_system.indexed_count
-        assert restored.config == indexed_system.config
-        query_ref = ColumnRef("db", "customers", "company")
-        vector = indexed_system.vector_of(query_ref)
-        want = indexed_system.search_vector(vector, 3, exclude=query_ref).refs
-        assert restored.search_vector(vector, 3, exclude=query_ref).refs == want
+    np.savez(path, **members)
 
-    def test_legacy_v2_matches_v3_results(self, indexed_system, tmp_path):
-        v2 = load_index(_save_legacy(indexed_system, tmp_path / "v2.npz", version=2))
-        v3 = load_index(save_index(indexed_system, tmp_path / "v3.npz"))
-        assert v2.indexed_count == v3.indexed_count
-        for ref in indexed_system.indexed_refs:
-            assert np.allclose(v2.vector_of(ref), v3.vector_of(ref), atol=1e-6)
 
-    def test_unsupported_version_rejected(self, indexed_system, tmp_path):
-        with pytest.raises(ValueError):
-            _save_legacy(indexed_system, tmp_path / "v9.npz", version=9)
+def _assert_payload_is_live(path, marker) -> None:
+    """Control: the planted member runs code once something unpickles it."""
+    with zipfile.ZipFile(path) as archive:
+        member = io.BytesIO(archive.read("refs.npy"))
+    np.lib.format.read_magic(member)
+    np.lib.format.read_array_header_1_0(member)
+    pickle.load(member)
+    assert marker.exists()
+
+
+class TestNoPickle:
+    def test_format_2_header_raises_typed_error(self, indexed_system, tmp_path):
+        artifact = save_index(indexed_system, tmp_path / "v2.npz")
+        marker = tmp_path / "ran"
+        header = {"format_version": 2, "config": asdict(indexed_system.config)}
+        _plant_pickled_refs(artifact, marker, header=header)
+        with pytest.raises(DiscoveryError) as raised:
+            load_index(artifact)
+        assert type(raised.value) is DiscoveryError
+        assert "format 2" in str(raised.value)
+        assert "python -m repro index" in str(raised.value)
+        assert not marker.exists()
+        _assert_payload_is_live(artifact, marker)
+
+    @pytest.mark.parametrize("container", ["artifact", "segment"])
+    def test_object_array_member_is_refused_unrun(
+        self, indexed_system, tmp_path, container
+    ):
+        marker = tmp_path / "ran"
+        if container == "artifact":
+            target = save_index(indexed_system, tmp_path / "v3.npz")
+            _plant_pickled_refs(target, marker)
+            with pytest.raises(ArtifactCorruptionError):
+                load_index(target)
+        else:
+            store_dir = tmp_path / "store"
+            save_index_durable(indexed_system, store_dir).close()
+            manifest_path = store_dir / "MANIFEST"
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            entry = manifest["segments"][0]
+            target = store_dir / "segments" / entry["name"]
+            _plant_pickled_refs(target, marker)
+            # Re-seal the manifest so the checksum gate passes and the
+            # loader itself meets the object array.
+            entry["crc32"] = zipfile.crc32(target.read_bytes())
+            entry["bytes"] = target.stat().st_size
+            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+            with pytest.raises(ArtifactCorruptionError):
+                load_index_durable(store_dir)
+        assert not marker.exists()
+        _assert_payload_is_live(target, marker)
 
 
 class TestSearchVector:

@@ -85,36 +85,30 @@ class TestExperiments:
 
 
 class TestPerfDocs:
-    """The perf-tracking story: CLI, report, and doc sections stay in sync."""
+    """One benchmark: ``bench/`` + ``BENCHMARK.json`` is the only yardstick."""
 
-    def test_readme_documents_bench_command(self):
-        assert "python -m repro bench" in README
-        assert "BENCH_index.json" in README
+    @pytest.mark.parametrize("name", ["README.md", "EXPERIMENTS.md"])
+    def test_names_the_repo_benchmark(self, name):
+        text = (ROOT / name).read_text(encoding="utf-8")
+        assert "python3 bench/run.py" in text
+        assert "BENCHMARK.json" in text
 
-    def test_experiments_documents_bench_command(self):
-        assert "python -m repro bench" in EXPERIMENTS
-        assert "BENCH_index.json" in EXPERIMENTS
+    @pytest.mark.parametrize("name", ["README.md", "EXPERIMENTS.md"])
+    def test_does_not_name_the_removed_suite(self, name):
+        text = (ROOT / name).read_text(encoding="utf-8")
+        assert "python -m repro bench" not in text
+        assert "BENCH_index.json" not in text
+
+    def test_no_bench_cli_subcommand(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
 
     def test_design_has_index_internals_section(self):
         assert "Index internals" in DESIGN
         for anchor in ("VectorArena", "tombstone", "compaction", "search_batch"):
             assert anchor in DESIGN, f"Index internals misses {anchor!r}"
-
-    def test_bench_report_exists_and_validates(self):
-        import json
-
-        from repro.eval.perf import BENCH_REPORT_NAME, validate_report
-
-        path = ROOT / BENCH_REPORT_NAME
-        assert path.exists(), "run `python -m repro bench` to regenerate"
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert validate_report(payload) == []
-
-    def test_bench_cli_subcommand_exists(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["bench", "--profile", "fast"])
-        assert callable(args.handler)
 
 
 class TestInventoryMatchesModules:

@@ -17,7 +17,6 @@ from repro.eval.quality import (
     QUALITY_KS,
     QUALITY_PROFILES,
     WARPGATE_ARMS,
-    quality_headline,
     run_quality_suite,
 )
 
@@ -42,8 +41,8 @@ class TestSuiteContract:
             run_quality_suite(profile="small", datasets=("nope",))
 
     def test_profiles_cover_the_headline_systems(self):
-        # Every profile must produce all four numbers the CI recall gate
-        # and the history headline read.
+        # Every profile must produce all four numbers the recall pins
+        # below read.
         for spec in QUALITY_PROFILES.values():
             assert {"webtable", "hybrid"} <= set(spec["arms"])
         assert set(QUALITY_PROFILES["full"]["arms"]) == set(WARPGATE_ARMS)
@@ -95,55 +94,10 @@ class TestRecallRegression:
         assert hybrid["p_at_10"] >= cosine["p_at_10"]
 
     def test_warpgate_beats_aurum(self, small_rows):
-        # The CI quality-smoke gate, held as a test too: embeddings beat
-        # thresholded MinHash on the containment workload.
+        # Embeddings beat thresholded MinHash on the containment workload.
         warpgate = small_rows[("warpgate", "webtable")]
         assert warpgate["r_at_10"] >= small_rows[("aurum", "default")]["r_at_10"]
 
     def test_hybrid_map_floor(self, small_rows):
         assert small_rows[("warpgate", "hybrid")]["map"] >= 0.9
 
-
-class TestHeadline:
-    def test_extracted_from_rows(self, small_suite, small_rows):
-        headline = small_suite["headline"]
-        assert headline == quality_headline(small_suite["rows"])
-        assert (
-            headline["quality_hybrid_recall_at_10"]
-            == small_rows[("warpgate", "hybrid")]["r_at_10"]
-        )
-        assert (
-            headline["quality_warpgate_recall_at_10"]
-            == small_rows[("warpgate", "webtable")]["r_at_10"]
-        )
-        assert (
-            headline["quality_aurum_recall_at_10"]
-            == small_rows[("aurum", "default")]["r_at_10"]
-        )
-        assert (
-            headline["quality_hybrid_map"]
-            == small_rows[("warpgate", "hybrid")]["map"]
-        )
-
-    def test_missing_cells_yield_none(self):
-        headline = quality_headline([])
-        assert set(headline) == {
-            "quality_warpgate_recall_at_10",
-            "quality_hybrid_recall_at_10",
-            "quality_aurum_recall_at_10",
-            "quality_d3l_recall_at_10",
-            "quality_hybrid_map",
-        }
-        assert all(value is None for value in headline.values())
-
-    def test_ignores_other_datasets(self):
-        rows = [
-            {
-                "dataset_key": "spider",
-                "system": "warpgate",
-                "arm": "hybrid",
-                "r_at_10": 0.5,
-                "map": 0.5,
-            }
-        ]
-        assert quality_headline(rows)["quality_hybrid_recall_at_10"] is None

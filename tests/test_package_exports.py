@@ -104,6 +104,23 @@ class TestSubpackageExports:
 
         for name in eval_module.__all__:
             assert getattr(eval_module, name) is not None
+        # Metrics, the runner and the quality matrix; no perf suite.
+        assert set(eval_module.__all__) == {
+            "PRPoint",
+            "QueryRun",
+            "SystemEvaluation",
+            "TimingSummary",
+            "evaluate_system",
+            "mean_average_precision",
+            "pr_curve",
+            "precision_at_k",
+            "recall_at_k",
+            "reciprocal_rank",
+            "render_pr_figure",
+            "render_table",
+            "run_quality_suite",
+            "summarize_timings",
+        }
 
     def test_baselines_surface(self):
         from repro import baselines

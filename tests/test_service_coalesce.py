@@ -25,11 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util import rng_for
 from repro.core.config import WarpGateConfig
 from repro.errors import DeadlineExceededError
 from repro.core.profiles import EmbeddingCache
 from repro.core.warpgate import WarpGate
-from repro.eval.perf import synthetic_corpus
 from repro.service import DiscoveryService, QueryCoalescer, ServiceError
 from repro.storage.column import Column
 from repro.storage.schema import ColumnRef
@@ -45,6 +45,38 @@ VARIANTS = {
     "exact": {"search_backend": "exact"},
     "pivot": {"search_backend": "pivot"},
 }
+
+
+def synthetic_corpus(n: int, dim: int) -> np.ndarray:
+    """Deterministic column-embedding-shaped corpus: ``(n, dim)`` unit rows.
+
+    Each row is a unit draw around one of three domain centers —
+    within-domain cosines concentrate near ``1 - spread²`` (hot LSH
+    buckets, dense candidate sets, yet below the 0.7 join threshold) —
+    and every eighth row is a near-duplicate of an earlier row (a
+    snapshot copy: the above-threshold joinable answer).
+    """
+    n_domains, spread, snapshot_every = 3, 0.62, 8
+    rng = rng_for("perf-suite", "perf-corpus", n, dim, n_domains)
+
+    def unit_rows(matrix: np.ndarray) -> np.ndarray:
+        return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+
+    centers = unit_rows(rng.standard_normal((n_domains, dim)))
+    assignment = rng.integers(0, n_domains, size=n)
+    ambient = unit_rows(rng.standard_normal((n, dim)))
+    matrix = (
+        np.sqrt(max(0.0, 1.0 - spread**2)) * centers[assignment]
+        + spread * ambient
+    )
+    # Snapshot copies: overwrite a slice of rows with jittered earlier rows.
+    copies = np.arange(snapshot_every, n, snapshot_every)
+    if copies.size:
+        sources = rng.integers(0, copies, size=copies.size)
+        matrix[copies] = matrix[sources] + 0.05 * rng.standard_normal(
+            (copies.size, dim)
+        )
+    return unit_rows(matrix)
 
 
 def build_service(**overrides) -> tuple[DiscoveryService, list[ColumnRef]]:
