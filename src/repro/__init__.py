@@ -33,46 +33,39 @@ The one-shot library flow (``WarpGate().index_corpus(...)`` then
 ``.search(...)``) keeps working unchanged underneath.
 """
 
-from repro.baselines import Aurum, D3L
-from repro.core import (
-    DiscoveryResult,
-    JoinCandidate,
-    LookupService,
-    WarpGate,
-    WarpGateConfig,
-)
-from repro.datasets import (
-    generate_sigma_sample_database,
-    generate_spider_corpus,
-    generate_testbed,
-)
-from repro.eval import evaluate_system
-from repro.service import (
-    DiscoveryService,
-    IndexStats,
-    SearchRequest,
-    SearchResponse,
-    ServiceError,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Aurum",
-    "D3L",
-    "DiscoveryResult",
-    "DiscoveryService",
-    "IndexStats",
-    "JoinCandidate",
-    "LookupService",
-    "SearchRequest",
-    "SearchResponse",
-    "ServiceError",
-    "WarpGate",
-    "WarpGateConfig",
-    "evaluate_system",
-    "generate_sigma_sample_database",
-    "generate_spider_corpus",
-    "generate_testbed",
-    "__version__",
-]
+# Public names resolve on first access (PEP 562), so importing one
+# subsystem — the HTTP server, say — does not load the baselines (and
+# networkx behind Aurum), the datasets or the evaluation harness.
+_EXPORTS = {
+    "Aurum": "repro.baselines",
+    "D3L": "repro.baselines",
+    "DiscoveryResult": "repro.core",
+    "DiscoveryService": "repro.service",
+    "IndexStats": "repro.service",
+    "JoinCandidate": "repro.core",
+    "LookupService": "repro.core",
+    "SearchRequest": "repro.service",
+    "SearchResponse": "repro.service",
+    "ServiceError": "repro.service",
+    "WarpGate": "repro.core",
+    "WarpGateConfig": "repro.core",
+    "evaluate_system": "repro.eval",
+    "generate_sigma_sample_database": "repro.datasets",
+    "generate_spider_corpus": "repro.datasets",
+    "generate_testbed": "repro.datasets",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -14,8 +14,8 @@ Commands
 ``corpus-stats``
     Print the Table-1-style statistics of the built-in corpora.
 ``index`` / ``query``
-    Build a persistent index artifact from a CSV directory, then query it
-    later without re-scanning.
+    Build a durable index store from a CSV directory, then query it later
+    without re-scanning (loading the store is recovery; see ``fsck``).
 ``graph``
     Build the join graph over a CSV directory, answer multi-hop path
     queries (``--src``/``--dst``), or export it as DOT/JSON.
@@ -100,21 +100,22 @@ def cmd_index(args: argparse.Namespace) -> int:
     warehouse = _warehouse_from_csv_dir(Path(args.directory))
     service = DiscoveryService(_config_from_args(args))
     report = service.open(WarehouseConnector(warehouse))
-    artifact = service.save(args.output)
-    print(
-        f"indexed {report.columns_indexed} columns; artifact written to {artifact}"
-    )
+    store = service.save(args.store)
+    print(f"indexed {report.columns_indexed} columns; store written to {store}")
     return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     # Re-attach the CSV lake so the query column can be scanned and embedded.
     warehouse = _warehouse_from_csv_dir(Path(args.directory))
-    service = DiscoveryService.load(
-        args.artifact, connector=WarehouseConnector(warehouse)
+    service = DiscoveryService.load_durable(
+        args.store, connector=WarehouseConnector(warehouse)
     )
     query = _parse_query_ref(args.query)
-    response = service.search(query, args.k)
+    try:
+        response = service.search(query, args.k)
+    finally:
+        service.close()
     if not response.candidates:
         print(f"no joinable columns found for {query}")
         return 1
@@ -336,15 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(discover)
     discover.set_defaults(handler=cmd_discover)
 
-    index = subparsers.add_parser("index", help="build a persistent index artifact")
+    index = subparsers.add_parser("index", help="build a durable index store")
     index.add_argument("directory", help="directory containing *.csv files")
-    index.add_argument("output", help="artifact path (.npz)")
+    index.add_argument("store", help="store directory to write")
     add_model_args(index)
     index.set_defaults(handler=cmd_index)
 
-    query = subparsers.add_parser("query", help="query a saved index artifact")
-    query.add_argument("artifact", help="artifact path (.npz)")
-    query.add_argument("directory", help="the CSV directory the artifact indexed")
+    query = subparsers.add_parser("query", help="query a saved index store")
+    query.add_argument("store", help="store directory written by `index`")
+    query.add_argument("directory", help="the CSV directory the store indexed")
     query.add_argument("query", help="query column as table.column")
     add_model_args(query)
     query.set_defaults(handler=cmd_query)

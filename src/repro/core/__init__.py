@@ -11,7 +11,6 @@ lookup" integration (Figure 3), including the cardinality-preserving join.
 from repro.core.candidates import DiscoveryResult, JoinCandidate, TimingBreakdown
 from repro.core.config import WarpGateConfig
 from repro.core.lookup import LookupRecommendation, LookupService
-from repro.core.persistence import load_index, load_service, save_index
 from repro.core.profiles import EmbeddingCache
 from repro.core.system import IndexReport, JoinDiscoverySystem
 from repro.core.warpgate import WarpGate
@@ -27,7 +26,4 @@ __all__ = [
     "TimingBreakdown",
     "WarpGate",
     "WarpGateConfig",
-    "load_index",
-    "load_service",
-    "save_index",
 ]

@@ -17,7 +17,7 @@ _SEARCH_BACKENDS = ("lsh", "exact", "pivot")
 _SCORING_MODES = ("cosine", "hybrid")
 _AGGREGATIONS = ("mean", "tfidf")
 _SAMPLING_STRATEGIES = ("head", "uniform", "reservoir", "distinct")
-# Fields a pre-removal artifact header or durable MANIFEST still carries.
+# Fields a MANIFEST written before their removal still carries.
 _RETIRED_KEYS = (
     "shard_workers",
     "worker_transport",
@@ -238,10 +238,10 @@ class WarpGateConfig:
 
     @classmethod
     def from_saved(cls, saved: dict) -> "WarpGateConfig":
-        """Rebuild the config stored in an artifact header or MANIFEST.
+        """Rebuild the config stored in a durable store's MANIFEST.
 
         Today's constructor, minus the retired process-worker, shard
-        and int8 keys that artifacts written before their removal still
+        and int8 keys that stores written before their removal still
         carry.  The payload was always saved flat in float32, so any such
         store restores into the one arena with exact scoring.
         """

@@ -425,8 +425,9 @@ class WarpGate(JoinDiscoverySystem):
     ) -> DiscoveryResult:
         """Search with a pre-computed embedding (no warehouse access).
 
-        This is the query path of a restored index artifact (see
-        :mod:`repro.core.persistence`) and of cached-profile queries.  The
+        This is the query path of an index recovered without a connector
+        (see :meth:`~repro.service.DiscoveryService.load_durable`) and of
+        cached-profile queries.  The
         result's ``query`` is ``exclude`` when given, else ``None`` — a
         vector has no catalog address.
         """

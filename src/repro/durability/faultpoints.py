@@ -56,9 +56,6 @@ CRASH_POINTS = (
     # WAL truncation at the end of a checkpoint.
     "wal.truncate.before",
     "wal.truncate.after",
-    # Atomic artifact save (save_index): around its os.replace.
-    "artifact.save.before_replace",
-    "artifact.save.after_replace",
 )
 
 _lock = threading.Lock()

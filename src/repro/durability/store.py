@@ -116,6 +116,20 @@ def _parts_to_refs(parts: np.ndarray) -> list[ColumnRef]:
     return list(map(ColumnRef, *parts.T.tolist())) if parts.size else []
 
 
+def _export_sorted(system) -> tuple[list[ColumnRef], np.ndarray]:
+    """The index payload with refs in canonical (str) order."""
+    keys, vectors = system._index.export_rows()
+    refs = list(keys)
+    order = sorted(range(len(refs)), key=lambda position: str(refs[position]))
+    refs = [refs[position] for position in order]
+    vectors = (
+        vectors[np.asarray(order, dtype=np.int64)]
+        if len(refs)
+        else np.zeros((0, system.config.dim), dtype=np.float32)
+    )
+    return refs, vectors
+
+
 class DurableIndexStore:
     """One durable store rooted at ``directory`` (single writer).
 
@@ -286,10 +300,8 @@ class DurableIndexStore:
            cleanup; a crash here is absorbed by the seq skip / fsck's
            orphan report.
         """
-        from repro.core.persistence import _export_sorted
-
         system = getattr(system, "engine", system)
-        refs, vectors, _signatures = _export_sorted(system)
+        refs, vectors = _export_sorted(system)
         applied_seq = self._next_seq - 1
         manifest_seq = 1
         previous_segments: list[str] = []

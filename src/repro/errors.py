@@ -141,16 +141,16 @@ class DeadlineExceededError(DiscoveryError):
 
 
 class PersistenceError(DiscoveryError):
-    """Base class for errors loading or saving index artifacts."""
+    """Base class for errors loading or saving a stored index."""
 
 
 class ArtifactCorruptionError(PersistenceError):
-    """Raised when an index artifact fails structural or checksum validation.
+    """Raised when a stored index file fails structural or size validation.
 
-    Carries the artifact path and, when known, the archive member whose
-    bytes failed — a truncated download and a bit-flipped vector block
-    produce the same typed error instead of a raw ``zipfile``/``numpy``
-    traceback deep inside the loader.
+    Carries the file path and, when known, the archive member whose
+    bytes failed — a truncated file or an unreadable member produces a
+    typed error instead of a raw ``zipfile``/``numpy`` traceback deep
+    inside the loader.
     """
 
     def __init__(self, path, member: str | None = None, detail: str = "") -> None:

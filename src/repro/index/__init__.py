@@ -17,7 +17,7 @@ one columnar substrate:
 * :class:`MinHashIndex` / :class:`MinHashSignature` — Jaccard machinery
   used by the Aurum and D3L baselines;
 * :func:`load_npz_arrays` — zero-copy ``np.memmap`` reads of uncompressed
-  ``.npz`` artifact members (format 3 cold loads).
+  ``.npz`` members (the durable store's segment reader).
 """
 
 from repro.index.arena import ColumnarIndex, VectorArena

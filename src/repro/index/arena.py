@@ -121,15 +121,12 @@ class VectorArena:
         self._size = 0  # high-water mark: rows 0.._size-1 are occupied or dead
         self._live = 0
         self.generation = 0
-        # Monotonic count of content mutations (adds, removes, adoptions,
+        # Monotonic count of content mutations (adds, removes,
         # compactions).  Unlike ``generation`` — which only moves when row
         # ids are reassigned and therefore drives derived-structure
         # rebuilds — this bumps on *every* change to what a query could
         # return, so result caches key on it for implicit invalidation.
         self.mutation_generation = 0
-        # False when the matrix/signature storage is adopted read-only
-        # (e.g. a memory-mapped artifact); in-place writes thaw it first.
-        self._owns_memory = True
 
     # -- introspection ----------------------------------------------------------
 
@@ -241,16 +238,6 @@ class VectorArena:
         grown_alive = np.zeros(capacity, dtype=bool)
         grown_alive[: self._size] = self._alive[: self._size]
         self._alive = grown_alive
-        self._owns_memory = True  # growth rewrites into fresh, writable storage
-
-    def _ensure_writable(self) -> None:
-        """Thaw adopted (read-only / memory-mapped) storage before writes."""
-        if self._owns_memory:
-            return
-        self._matrix = np.array(self._matrix)
-        if self._signatures is not None:
-            self._signatures = np.array(self._signatures)
-        self._owns_memory = True
 
     def add(
         self,
@@ -401,7 +388,6 @@ class VectorArena:
         """
         if self.dead_count == 0:
             return
-        self._ensure_writable()
         live = self.live_rows()
         count = int(live.size)
         self._matrix[:count] = self._matrix[live]
@@ -415,65 +401,6 @@ class VectorArena:
         self._live = count
         self.generation += 1
         self.mutation_generation += 1
-
-    # -- adoption -----------------------------------------------------------------
-
-    def adopt(
-        self,
-        keys: list[object],
-        matrix: np.ndarray,
-        signatures: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Take ownership of pre-built rows *without copying the vectors*.
-
-        The zero-copy restore path: ``matrix`` (and ``signatures``) become
-        the arena's backing storage directly — typically read-only
-        ``np.memmap`` views into an uncompressed artifact, so a cold load
-        costs O(keys) instead of O(n·dim) and vector pages stream in
-        lazily as queries touch them.  Rows are trusted to be ``float32``
-        unit vectors (the artifact contract); only shapes are validated.
-        Valid on an empty arena only.  The first in-place write
-        (compaction) thaws the storage into a private RAM copy; appends
-        grow into fresh storage anyway.
-        """
-        if self._size:
-            raise ValueError("adopt() requires an empty arena")
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                self.dim, matrix.shape[-1] if matrix.ndim else 0
-            )
-        count = matrix.shape[0]
-        if len(keys) != count:
-            raise ValueError(f"{len(keys)} keys for {count} matrix rows")
-        if len(set(keys)) != count:
-            raise ValueError("duplicate keys in one adopt() call")
-        if matrix.dtype != self.dtype:
-            matrix = matrix.astype(self.dtype)
-        if self.signature_words:
-            if signatures is None:
-                raise ValueError("arena stores signatures; adopt() requires them")
-            signatures = np.asarray(signatures, dtype=np.uint64)
-            if signatures.shape != (count, self.signature_words):
-                raise DimensionMismatchError(
-                    self.signature_words,
-                    signatures.shape[-1] if signatures.ndim else 0,
-                )
-        else:
-            signatures = None
-        self._matrix = matrix
-        self._signatures = signatures
-        self._alive = np.ones(count, dtype=bool)
-        self._keys = list(keys)
-        self._rows = {key: row for row, key in enumerate(self._keys)}
-        self._size = count
-        self._live = count
-        self._owns_memory = bool(matrix.flags.writeable) and (
-            signatures is None or bool(signatures.flags.writeable)
-        )
-        self.mutation_generation += 1
-        return np.arange(count)
-
 
 class ColumnarIndex:
     """Shared arena-backed base for the cosine index backends.
@@ -509,7 +436,7 @@ class ColumnarIndex:
         """Monotonic counter covering every content mutation.
 
         Any change to what a query could return — add, remove, update,
-        bulk load, compaction, artifact adoption — moves it, so a result
+        bulk load, compaction — moves it, so a result
         cached under one value is implicitly invalid under any other (the
         :class:`~repro.service.qcache.QueryResultCache` key contract).
         """
@@ -527,17 +454,15 @@ class ColumnarIndex:
         """Stored unit vector of ``key`` (``float32`` copy)."""
         return self._arena.vector_of(key)
 
-    def export_rows(self) -> tuple[list[object], np.ndarray, np.ndarray | None]:
-        """Live ``(keys, vectors, signatures)`` in insertion order.
+    def export_rows(self) -> tuple[list[object], np.ndarray]:
+        """Live ``(keys, vectors)`` in insertion order.
 
-        The persistence layer's gather point.
+        The durable store's checkpoint gather point.
         """
         arena = self._arena
         live = arena.live_rows()
         keys = [arena.key_at(int(row)) for row in live]
-        vectors = arena.matrix[live]
-        signatures = arena.signatures[live] if arena.signature_words else None
-        return keys, vectors, signatures
+        return keys, arena.matrix[live]
 
     # -- construction -------------------------------------------------------------
 
@@ -584,14 +509,17 @@ class ColumnarIndex:
         keys: list[object],
         matrix: np.ndarray,
         *,
-        signatures: np.ndarray | None = None,
+        assume_unit: bool = False,
     ) -> None:
         """Vectorized bulk insert of ``len(keys)`` rows in one pass.
 
-        The columnar fast path: one normalization pass, one (optional)
-        batched signature computation, one arena append, one wholesale
-        derived-structure rebuild.  Used by index builds and artifact
-        restore; results are identical to repeated :meth:`add` calls.
+        The columnar fast path: one normalization pass, one batched
+        signature computation, one arena append, one wholesale
+        derived-structure rebuild.  Used by index builds and store
+        recovery; results are identical to repeated :meth:`add` calls.
+        ``assume_unit`` stores rows that already are this arena's
+        ``float32`` units (a recovered store's) bit for bit, with no
+        second normalization pass.
         """
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[1] != self.dim:
@@ -600,7 +528,9 @@ class ColumnarIndex:
             )
         if len(keys) != matrix.shape[0]:
             raise ValueError(f"{len(keys)} keys for {matrix.shape[0]} matrix rows")
-        if signatures is None:
+        if assume_unit:
+            units = matrix.astype(self._arena.dtype, copy=False)
+        else:
             # Normalize once here (zero rows rejected, same contract as
             # add) so the signature pass and the arena share the units.
             norms = np.linalg.norm(matrix.astype(np.float64, copy=False), axis=1)
@@ -610,43 +540,9 @@ class ColumnarIndex:
                     f"cannot index zero vector under key {keys[int(zero[0])]!r}"
                 )
             units = (matrix / norms[:, None]).astype(self._arena.dtype)
-            signatures = self._signatures_for(units)
-            rows = self._arena.add_batch(keys, units, signatures, assume_unit=True)
-        else:
-            rows = self._arena.add_batch(keys, matrix, signatures)
+        signatures = self._signatures_for(units)
+        rows = self._arena.add_batch(keys, units, signatures, assume_unit=True)
         self._after_bulk(rows)
-
-    def adopt_rows(
-        self,
-        keys: list[object],
-        matrix: np.ndarray,
-        signatures: np.ndarray | None = None,
-    ) -> None:
-        """Zero-copy restore: adopt pre-built unit rows as the arena storage.
-
-        The artifact fast path (format 3): ``matrix`` — typically a
-        read-only memmap — becomes the arena's backing storage without a
-        normalization or copy pass, and derived structures (LSH buckets,
-        pivot tables) are *not* built eagerly: the generation bump leaves
-        them stale, so they resynchronize lazily on first use — or
-        eagerly via :meth:`build`, which is what the serving layer does
-        under its write lock.  Cold-load cost is therefore O(keys),
-        independent of ``dim``.  Rows must be ``float32`` unit vectors,
-        which every saved artifact guarantees.  Requires an empty index.
-        When the backend stores signatures and none are supplied they are
-        recomputed (which reads every row once).
-        """
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                self.dim, matrix.shape[-1] if matrix.ndim else 0
-            )
-        if self._arena.signature_words and signatures is None:
-            signatures = self._signatures_for(matrix.astype(self._arena.dtype, copy=False))
-        self._arena.adopt(keys, matrix, signatures)
-        # Same invalidation signal a compaction sends: row-addressed
-        # structures notice the generation change and rebuild on demand.
-        self._arena.generation += 1
 
     def remove(self, key: object) -> None:
         """Tombstone one key in O(1); raises ``KeyError`` when absent.

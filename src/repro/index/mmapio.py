@@ -3,7 +3,7 @@
 ``np.load(..., mmap_mode="r")`` memory-maps bare ``.npy`` files but not
 ``.npz`` archives — zip members go through the ``zipfile`` stream reader,
 which materializes every array in RAM (and, for ``savez_compressed``,
-decompresses it first).  For a multi-GB index artifact that turns a cold
+decompresses it first).  For a multi-GB index segment that turns a cold
 service start into seconds of copying.
 
 An *uncompressed* zip, however, stores each member's bytes verbatim and
@@ -12,7 +12,7 @@ sitting at a fixed offset inside the archive.  :func:`load_npz_arrays`
 exploits that: it walks the zip directory, parses each stored member's
 local header and npy header, and hands back ``np.memmap`` views directly
 into the archive — the OS pages vector data in lazily as queries touch
-it, and opening a multi-GB artifact costs milliseconds.
+it, and opening a multi-GB segment costs milliseconds.
 
 Members that cannot be mapped — deflated (compressed) members, non-``.npy``
 entries — fall back to a regular in-memory read.  Nothing is ever

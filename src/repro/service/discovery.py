@@ -11,6 +11,9 @@ evolving* warehouse, so this facade adds what serving requires:
 * **incremental index mutation** — :meth:`add_table`, :meth:`drop_table`,
   and :meth:`refresh_column` update the live index in place, never
   re-indexing the corpus;
+* **one on-disk format** — :meth:`save` checkpoints the index into a
+  durable store directory and :meth:`load_durable`, the only loader,
+  recovers it (see :mod:`repro.durability.store`);
 * **batch search** — :meth:`search_many` amortizes query-column scans
   (duplicate query refs are embedded once) and lock traffic across a
   request batch, returning results identical to per-query :meth:`search`;
@@ -49,6 +52,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,7 @@ from repro.errors import (
     ColumnNotFoundError,
     DatabaseNotFoundError,
     DeadlineExceededError,
+    DiscoveryError,
     EmptyIndexError,
     NotIndexedError,
     ReproError,
@@ -110,9 +115,8 @@ class DiscoveryService:
     cache:
         Optional shared :class:`EmbeddingCache`, forwarded to the engine.
     engine:
-        An existing :class:`WarpGate` to serve (e.g. restored via
-        :func:`repro.core.persistence.load_index`); mutually exclusive
-        with ``config``.
+        An existing :class:`WarpGate` to serve; mutually exclusive with
+        ``config``.
     durable_store:
         An already-open :class:`~repro.durability.DurableIndexStore` to
         log mutations into (the :meth:`load_durable` path).  When absent
@@ -336,7 +340,7 @@ class DiscoveryService:
             self._store.close()
 
     def attach_connector(self, connector: WarehouseConnector) -> None:
-        """Attach a live connector (e.g. after restoring a saved artifact)."""
+        """Attach a live connector (e.g. after recovering a saved store)."""
         with self._lock.write():
             self.engine.attach_connector(connector)
             # Edge confidences blend in MinHash signatures only when a
@@ -344,24 +348,27 @@ class DiscoveryService:
             self._graph.invalidate_all()
 
     def save(self, path: str | Path) -> Path:
-        """Persist the index artifact (see :mod:`repro.core.persistence`)."""
-        from repro.core.persistence import save_index
+        """Checkpoint the index into a durable store at ``path``.
 
-        with self._lock.read():
-            return save_index(self.engine, path)
+        The store directory is the only on-disk index: one segment, a
+        MANIFEST and an empty WAL (see :mod:`repro.durability.store`).
+        Saving over an existing store replaces it through the
+        checkpoint's atomic manifest publish; :meth:`load_durable` reads
+        it back.  Raises :class:`DiscoveryError` if nothing is indexed.
+        """
+        from repro.durability import DurableIndexStore
 
-    @classmethod
-    def load(
-        cls, path: str | Path, *, connector: WarehouseConnector | None = None
-    ) -> "DiscoveryService":
-        """Restore a service from a saved artifact, optionally re-attached."""
-        from repro.core.persistence import load_index
-
-        service = cls(engine=load_index(path))
-        if connector is not None:
-            service.engine.attach_connector(connector)
-        service.engine.rebuild_index()
-        return service
+        path = Path(path)
+        if not self.engine.is_indexed:
+            raise DiscoveryError("cannot save an unindexed WarpGate")
+        if path.is_file():
+            raise DiscoveryError(f"cannot save a store at {path}: it is a file")
+        if self._store is not None and path.resolve() == self._store.directory.resolve():
+            self.checkpoint()
+            return path
+        with self._lock.read(), DurableIndexStore(path) as store:
+            store.checkpoint(self.engine)
+        return path
 
     @classmethod
     def load_durable(
@@ -374,12 +381,45 @@ class DiscoveryService:
 
         Validates the manifest and segment checksums, discards a torn
         WAL tail, and replays acknowledged records — the rebuilt index
-        holds exactly the last-acknowledged mutation set.  The recovery
-        report is exposed as :attr:`recovery_report`.
+        holds exactly the last-acknowledged mutation set, and later
+        mutations are logged into the same store.  Checksum failures
+        raise the typed :mod:`repro.errors` durability errors, never a
+        silent wrong answer.  The recovery report is exposed as
+        :attr:`recovery_report`.
         """
-        from repro.core.persistence import load_index_durable
+        from repro.durability.store import (
+            MANIFEST_NAME,
+            DurableIndexStore,
+            read_manifest_file,
+        )
 
-        engine, store, report = load_index_durable(directory)
+        directory = Path(directory)
+        if directory.is_file():
+            raise DiscoveryError(
+                f"{directory} is a single-file index artifact; those no longer "
+                "load — rebuild it as a store with `python -m repro index`"
+            )
+        # Recovery never creates a store: a mistyped path fails here,
+        # before the store's constructor makes any directory.
+        manifest = read_manifest_file(directory / MANIFEST_NAME)
+        # The store may have been moved/copied since the manifest was
+        # written; the directory actually recovered from is the truth.
+        config = replace(
+            WarpGateConfig.from_saved(manifest["config"]), durable_dir=str(directory)
+        )
+        store = DurableIndexStore(
+            directory,
+            fsync=config.durable_fsync,
+            checkpoint_every=config.checkpoint_every,
+        )
+        _config, refs, vectors, report = store.recover()
+        engine = WarpGate(config)
+        if refs:
+            # Replay rebuilds the arena's unit rows bitwise; SimHash
+            # signatures rehash deterministically from them inside bulk_load.
+            engine._index.bulk_load(refs, vectors, assume_unit=True)
+            engine._indexed = True
+        engine.rebuild_index()
         service = cls(engine=engine, durable_store=store)
         service.recovery_report = report
         if connector is not None:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.storage.column import Column
 from repro.storage.csv_codec import write_csv_file
@@ -52,8 +53,8 @@ class TestParser:
         "argv",
         [
             ["discover", "dir", "t.c"],
-            ["index", "dir", "out.npz"],
-            ["query", "a.npz", "dir", "t.c"],
+            ["index", "dir", "store"],
+            ["query", "store", "dir", "t.c"],
             ["demo"],
             ["corpus-stats"],
         ],
@@ -105,15 +106,16 @@ class TestDiscover:
 
 class TestIndexAndQuery:
     def test_index_then_query(self, csv_lake, tmp_path, capsys):
-        artifact = tmp_path / "lake.npz"
-        assert (
-            main(["index", str(csv_lake), str(artifact), "--threshold", "0.5"]) == 0
-        )
-        assert artifact.exists()
+        store = tmp_path / "lake-store"
+        assert main(["index", str(csv_lake), str(store), "--threshold", "0.5"]) == 0
+        assert (store / "MANIFEST").is_file()
+        assert main(["fsck", str(store)]) == 0
+        before = {path: path.read_bytes() for path in store.rglob("*") if path.is_file()}
+        capsys.readouterr()
         code = main(
             [
                 "query",
-                str(artifact),
+                str(store),
                 str(csv_lake),
                 "purchases.supplier",
                 "--threshold",
@@ -123,6 +125,31 @@ class TestIndexAndQuery:
         output = capsys.readouterr().out
         assert code == 0
         assert "ratings.vendor" in output
+        # Loading is recovery, and recovery of a clean store writes nothing.
+        after = {path: path.read_bytes() for path in store.rglob("*") if path.is_file()}
+        assert after == before
+
+    def test_serve_recovers_an_index_store(self, csv_lake, tmp_path, capsys, monkeypatch):
+        store = tmp_path / "lake-store"
+        assert main(["index", str(csv_lake), str(store), "--threshold", "0.5"]) == 0
+        columns = capsys.readouterr().out.split()[1]
+        served = []
+        monkeypatch.setattr(cli, "serve", lambda service, *args, **kwargs: served.append(service))
+        assert main(["serve", str(csv_lake), "--durable-dir", str(store), "--port", "0"]) == 0
+        output = capsys.readouterr().out
+        assert f"recovered {columns} columns from {store}" in output
+        assert "indexed" not in output
+        served[0].close()
+
+    def test_single_file_artifact_is_refused(self, csv_lake, tmp_path, capsys):
+        artifact = tmp_path / "lake.npz"
+        artifact.write_bytes(b"PK\x05\x06" + bytes(18))
+        code = main(["query", str(artifact), str(csv_lake), "purchases.supplier"])
+        error = capsys.readouterr().err
+        assert code == 2
+        assert str(artifact) in error
+        assert "python -m repro index" in error
+        assert artifact.read_bytes() == b"PK\x05\x06" + bytes(18)
 
 
 class TestCorpusStats:

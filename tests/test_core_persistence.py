@@ -1,8 +1,9 @@
-"""Tests for repro.core.persistence: index artifact save/load.
+"""Tests for saving and loading an index: the durable store is the only format.
 
-Covers the format-3 artifact (uncompressed, memory-mapped, zero-copy
-arena adoption), the ``compress=True`` opt-in, and the refusal of older
-formats and pickled members.
+``DiscoveryService.save`` checkpoints the engine into a store directory
+(MANIFEST + one segment + WAL) and ``DiscoveryService.load_durable`` is
+recovery.  Covers the round trip, the refusal of single-file ``.npz``
+artifacts and pickled members, and that a damaged segment never loads.
 """
 
 from __future__ import annotations
@@ -11,22 +12,28 @@ import io
 import json
 import pickle
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.config import WarpGateConfig
-from repro.core.persistence import (
-    load_index,
-    load_index_durable,
-    save_index,
-    save_index_durable,
-)
 from repro.core.warpgate import WarpGate
-from repro.errors import ArtifactCorruptionError, DiscoveryError
+from repro.durability import fsck_store
+from repro.errors import (
+    ArtifactCorruptionError,
+    DiscoveryError,
+    ManifestError,
+    SegmentChecksumError,
+)
+from repro.service.discovery import DiscoveryService
+from repro.storage.column import Column
 from repro.storage.schema import ColumnRef
+from repro.storage.table import Table
 from repro.warehouse.connector import WarehouseConnector
+
+COMPANY = ColumnRef("db", "customers", "company")
 
 
 @pytest.fixture()
@@ -36,102 +43,168 @@ def indexed_system(toy_connector) -> WarpGate:
     return system
 
 
+@pytest.fixture()
+def saved(indexed_system, tmp_path):
+    """An indexed engine and the store ``save`` wrote from it."""
+    store = DiscoveryService(engine=indexed_system).save(tmp_path / "store")
+    return indexed_system, store
+
+
+def _load(store, **kwargs) -> DiscoveryService:
+    service = DiscoveryService.load_durable(store, **kwargs)
+    service.close()
+    return service
+
+
 class TestSave:
     def test_unindexed_rejected(self, tmp_path):
         with pytest.raises(DiscoveryError):
-            save_index(WarpGate(), tmp_path / "x.npz")
+            DiscoveryService().save(tmp_path / "store")
+        assert not (tmp_path / "store").exists()
 
-    def test_artifact_written(self, indexed_system, tmp_path):
-        artifact = save_index(indexed_system, tmp_path / "index.npz")
-        assert artifact.exists()
-        assert artifact.suffix == ".npz"
+    def test_artifact_written(self, saved):
+        _system, store = saved
+        assert (store / "MANIFEST").is_file()
+        assert len(list((store / "segments").glob("seg-*.npz"))) == 1
+        report = fsck_store(store)
+        assert report["clean"]
+        assert report["wal"]["records"] == 0
 
-    def test_suffix_normalized(self, indexed_system, tmp_path):
-        artifact = save_index(indexed_system, tmp_path / "index")
-        assert artifact.suffix == ".npz"
-        assert artifact.exists()
+    def test_save_over_a_store_replaces_it(self, saved, toy_connector):
+        system, store = saved
+        other = DiscoveryService(WarpGateConfig(threshold=0.3, dim=32))
+        other.open(toy_connector)
+        dropped = other.engine.indexed_refs[0]
+        other.engine.remove_column(dropped)
+        assert other.save(store) == store
+        restored = _load(store)
+        assert restored.engine.config.dim == 32
+        assert set(restored.engine.indexed_refs) == set(system.indexed_refs) - {dropped}
+        assert len(list((store / "segments").glob("seg-*.npz"))) == 1
+
+    def test_save_into_its_own_store_checkpoints_it(self, tmp_path, toy_connector):
+        store = tmp_path / "store"
+        config = WarpGateConfig(threshold=0.3).with_durability(str(store), fsync="never")
+        service = DiscoveryService(config)
+        service.open(toy_connector)
+        victim = service.engine.indexed_refs[0]
+        service.engine.remove_column(victim)
+        assert service.save(store) == store
+        assert service.durable_store.read_manifest()["manifest_seq"] == 2
+        service.drop_table("db", victim.table)
+        expected = set(service.engine.indexed_refs)
+        service.close()
+        assert set(_load(store).engine.indexed_refs) == expected
+
+    def test_save_refuses_a_regular_file(self, indexed_system, tmp_path):
+        target = tmp_path / "index.npz"
+        target.write_bytes(b"not a store")
+        with pytest.raises(DiscoveryError, match="is a file"):
+            DiscoveryService(engine=indexed_system).save(target)
+        assert target.read_bytes() == b"not a store"
 
 
 class TestLoad:
     def test_missing_artifact(self, tmp_path):
-        with pytest.raises(DiscoveryError):
-            load_index(tmp_path / "absent.npz")
+        """Recovery never creates a store: a mistyped path stays absent."""
+        missing = tmp_path / "typo" / "store"
+        with pytest.raises(ManifestError):
+            DiscoveryService.load_durable(missing)
+        assert not missing.exists()
+        assert not (tmp_path / "typo").exists()
 
-    def test_roundtrip_preserves_vectors(self, indexed_system, tmp_path):
-        artifact = save_index(indexed_system, tmp_path / "index.npz")
-        restored = load_index(artifact)
-        assert restored.indexed_count == indexed_system.indexed_count
-        ref = ColumnRef("db", "customers", "company")
-        assert np.allclose(restored.vector_of(ref), indexed_system.vector_of(ref))
+    def test_roundtrip_preserves_vectors(self, saved):
+        system, store = saved
+        restored = _load(store)
+        assert restored.engine.indexed_count == system.indexed_count
+        for ref in system.indexed_refs:
+            assert np.array_equal(restored.engine.vector_of(ref), system.vector_of(ref))
 
-    def test_roundtrip_preserves_config(self, indexed_system, tmp_path):
-        artifact = save_index(indexed_system, tmp_path / "index.npz")
-        restored = load_index(artifact)
-        assert restored.config == indexed_system.config
+    def test_roundtrip_preserves_config(self, saved):
+        system, store = saved
+        restored = _load(store)
+        # The recovered store is where later mutations are logged.
+        assert restored.engine.config == replace(system.config, durable_dir=str(store))
 
-    def test_restored_index_answers_vector_queries(self, indexed_system, tmp_path):
-        artifact = save_index(indexed_system, tmp_path / "index.npz")
-        restored = load_index(artifact)
-        query_ref = ColumnRef("db", "customers", "company")
-        vector = indexed_system.vector_of(query_ref)
-        result = restored.search_vector(vector, 3, exclude=query_ref)
+    def test_restored_index_answers_vector_queries(self, saved):
+        system, store = saved
+        restored = _load(store)
+        vector = system.vector_of(COMPANY)
+        result = restored.engine.search_vector(vector, 3, exclude=COMPANY)
         assert result.refs[0] == ColumnRef("db", "vendors", "vendor_name")
 
-    def test_restored_index_with_connector_answers_search(
-        self, indexed_system, tmp_path, toy_warehouse
-    ):
-        artifact = save_index(indexed_system, tmp_path / "index.npz")
-        restored = load_index(artifact)
-        restored.attach_connector(WarehouseConnector(toy_warehouse))
-        query_ref = ColumnRef("db", "customers", "company")
-        original = indexed_system.search(query_ref, 3).refs
-        assert restored.search(query_ref, 3).refs == original
+    def test_restored_index_with_connector_answers_search(self, saved, toy_warehouse):
+        system, store = saved
+        restored = _load(store, connector=WarehouseConnector(toy_warehouse))
+        expected = system.search(COMPANY, 3)
+        answer = restored.search(COMPANY, 3)
+        assert answer.refs == expected.refs
+        assert [c.score for c in answer.candidates] == [
+            c.score for c in expected.candidates
+        ]
+
+    def test_mutation_after_load_survives_a_second_load(self, saved, toy_warehouse):
+        _system, store = saved
+        restored = DiscoveryService.load_durable(
+            store, connector=WarehouseConnector(toy_warehouse)
+        )
+        table = Table(
+            "suppliers",
+            [Column("supplier_name", ["Acme Dynamics Corp", "Vertex Energy", "Nova Llc"])],
+        )
+        restored.add_table("db", table)
+        restored.drop_table("db", "vendors")
+        expected = set(restored.engine.indexed_refs)
+        restored.close()
+        again = _load(store)
+        assert set(again.engine.indexed_refs) == expected
+        assert ColumnRef("db", "suppliers", "supplier_name") in expected
+        assert again.recovery_report["wal_records_replayed"] == 2
 
 
 class TestFormat3:
-    def test_artifact_is_uncompressed_by_default(self, indexed_system, tmp_path):
-        artifact = save_index(indexed_system, tmp_path / "v3.npz")
-        with zipfile.ZipFile(artifact) as archive:
-            kinds = {info.compress_type for info in archive.infolist()}
-        assert kinds == {zipfile.ZIP_STORED}
+    """The segment payload keeps the format-3 layout: uncompressed ``.npz``
+    members that recovery reads as ``np.memmap`` views, not copies."""
 
-    def test_compress_opt_in(self, indexed_system, tmp_path):
-        plain = save_index(indexed_system, tmp_path / "plain.npz")
-        packed = save_index(indexed_system, tmp_path / "packed.npz", compress=True)
-        with zipfile.ZipFile(packed) as archive:
-            kinds = {info.compress_type for info in archive.infolist()}
-        assert zipfile.ZIP_DEFLATED in kinds
-        assert packed.stat().st_size < plain.stat().st_size
-        restored = load_index(packed)
-        assert restored.indexed_count == indexed_system.indexed_count
+    def test_mmap_load_equals_saved_vectors_exactly(self, saved):
+        from repro.index.mmapio import load_npz_arrays
 
-    def test_load_adopts_memory_mapped_vectors(self, indexed_system, tmp_path):
-        artifact = save_index(indexed_system, tmp_path / "v3.npz")
-        restored = load_index(artifact)
-        arena = restored._index.arena
-        assert not arena._owns_memory
-        assert not arena._matrix.flags.writeable
-        assert isinstance(arena._matrix.base, np.memmap)
+        system, store = saved
+        segment = next((store / "segments").glob("seg-*.npz"))
+        assert isinstance(load_npz_arrays(segment)["vectors"], np.memmap)
+        restored = _load(store)
+        for ref in system.indexed_refs:
+            assert np.array_equal(restored.engine.vector_of(ref), system.vector_of(ref))
 
-    def test_mmap_load_equals_saved_vectors_exactly(self, indexed_system, tmp_path):
-        artifact = save_index(indexed_system, tmp_path / "v3.npz")
-        restored = load_index(artifact)
-        for ref in indexed_system.indexed_refs:
-            assert np.array_equal(
-                restored.vector_of(ref), indexed_system.vector_of(ref)
-            )
 
-    def test_mutation_after_mmap_load(self, indexed_system, tmp_path, toy_warehouse):
-        """Adopted read-only storage thaws transparently on first mutation."""
-        artifact = save_index(indexed_system, tmp_path / "v3.npz")
-        restored = load_index(artifact)
-        restored.attach_connector(WarehouseConnector(toy_warehouse))
-        victim = restored.indexed_refs[0]
-        restored.remove_column(victim)
-        assert not restored.is_column_indexed(victim)
-        query_ref = ColumnRef("db", "customers", "company")
-        vector = indexed_system.vector_of(query_ref)
-        assert restored.search_vector(vector, 3, exclude=query_ref).candidates
+def _flip_one_vector_row(store, system: WarpGate) -> None:
+    """Flip the sign bits of one stored ``vectors`` row in place (same size)."""
+    segment = next((store / "segments").glob("seg-*.npz"))
+    data = bytearray(segment.read_bytes())
+    for ref in system.indexed_refs:
+        row = np.ascontiguousarray(system.vector_of(ref), dtype="<f4").tobytes()
+        offset = data.find(row)
+        if offset >= 0 and data.find(row, offset + 1) < 0:
+            break
+    else:
+        pytest.fail("no vector row is stored exactly once")
+    for sign_byte in range(offset + 3, offset + len(row), 4):
+        data[sign_byte] ^= 0x80
+    size = segment.stat().st_size
+    segment.write_bytes(bytes(data))
+    assert segment.stat().st_size == size
+
+
+class TestCorruption:
+    def test_bit_flipped_vectors_row_never_loads(self, saved, capsys):
+        system, store = saved
+        _flip_one_vector_row(store, system)
+        with pytest.raises(SegmentChecksumError):
+            DiscoveryService.load_durable(store)
+        segment = next((store / "segments").glob("seg-*.npz"))
+        capsys.readouterr()
+        assert main(["fsck", str(store)]) == 1
+        assert segment.name in capsys.readouterr().out
 
 
 class _Payload:
@@ -145,9 +218,11 @@ class _Payload:
 
 
 def _plant_pickled_refs(path, marker, *, header: dict | None = None) -> None:
-    """Rewrite an ``.npz`` so its ``refs`` member is a live object array."""
-    with np.load(path) as archive:
-        members = {name: archive[name] for name in archive.files}
+    """Write (or rewrite) an ``.npz`` whose ``refs`` member is a live object array."""
+    members = {}
+    if path.exists():
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
     refs = np.empty(1, dtype=object)
     refs[0] = _Payload(marker)
     members["refs"] = refs
@@ -155,7 +230,8 @@ def _plant_pickled_refs(path, marker, *, header: dict | None = None) -> None:
         members["header"] = np.frombuffer(
             json.dumps(header).encode("utf-8"), dtype=np.uint8
         )
-    np.savez(path, **members)
+    with path.open("wb") as handle:
+        np.savez(handle, **members)
 
 
 def _assert_payload_is_live(path, marker) -> None:
@@ -170,43 +246,38 @@ def _assert_payload_is_live(path, marker) -> None:
 
 class TestNoPickle:
     def test_format_2_header_raises_typed_error(self, indexed_system, tmp_path):
-        artifact = save_index(indexed_system, tmp_path / "v2.npz")
-        marker = tmp_path / "ran"
-        header = {"format_version": 2, "config": asdict(indexed_system.config)}
-        _plant_pickled_refs(artifact, marker, header=header)
-        with pytest.raises(DiscoveryError) as raised:
-            load_index(artifact)
-        assert type(raised.value) is DiscoveryError
-        assert "format 2" in str(raised.value)
-        assert "python -m repro index" in str(raised.value)
-        assert not marker.exists()
-        _assert_payload_is_live(artifact, marker)
+        """A single-file ``.npz`` artifact of either old format is refused unread."""
+        for version in (2, 3):
+            artifact = tmp_path / f"v{version}.npz"
+            marker = tmp_path / f"ran-{version}"
+            header = {"format_version": version, "config": asdict(indexed_system.config)}
+            _plant_pickled_refs(artifact, marker, header=header)
+            with pytest.raises(DiscoveryError) as raised:
+                DiscoveryService.load_durable(artifact)
+            assert type(raised.value) is DiscoveryError
+            message = str(raised.value)
+            assert str(artifact) in message
+            assert "no longer load" in message
+            assert "python -m repro index" in message
+            assert not marker.exists()
+            _assert_payload_is_live(artifact, marker)
 
-    @pytest.mark.parametrize("container", ["artifact", "segment"])
-    def test_object_array_member_is_refused_unrun(
-        self, indexed_system, tmp_path, container
-    ):
+    @pytest.mark.parametrize("container", ["segment"])
+    def test_object_array_member_is_refused_unrun(self, saved, tmp_path, container):
+        _system, store = saved
         marker = tmp_path / "ran"
-        if container == "artifact":
-            target = save_index(indexed_system, tmp_path / "v3.npz")
-            _plant_pickled_refs(target, marker)
-            with pytest.raises(ArtifactCorruptionError):
-                load_index(target)
-        else:
-            store_dir = tmp_path / "store"
-            save_index_durable(indexed_system, store_dir).close()
-            manifest_path = store_dir / "MANIFEST"
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            entry = manifest["segments"][0]
-            target = store_dir / "segments" / entry["name"]
-            _plant_pickled_refs(target, marker)
-            # Re-seal the manifest so the checksum gate passes and the
-            # loader itself meets the object array.
-            entry["crc32"] = zipfile.crc32(target.read_bytes())
-            entry["bytes"] = target.stat().st_size
-            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-            with pytest.raises(ArtifactCorruptionError):
-                load_index_durable(store_dir)
+        manifest_path = store / "MANIFEST"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        entry = manifest["segments"][0]
+        target = store / "segments" / entry["name"]
+        _plant_pickled_refs(target, marker)
+        # Re-seal the manifest so the checksum gate passes and the
+        # loader itself meets the object array.
+        entry["crc32"] = zipfile.crc32(target.read_bytes())
+        entry["bytes"] = target.stat().st_size
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ArtifactCorruptionError):
+            DiscoveryService.load_durable(store)
         assert not marker.exists()
         _assert_payload_is_live(target, marker)
 
@@ -217,13 +288,12 @@ class TestSearchVector:
         assert result.candidates == []
 
     def test_without_exclude_returns_self(self, indexed_system):
-        query_ref = ColumnRef("db", "customers", "company")
-        vector = indexed_system.vector_of(query_ref)
+        vector = indexed_system.vector_of(COMPANY)
         result = indexed_system.search_vector(vector, 3)
-        assert query_ref in result.refs
+        assert COMPANY in result.refs
 
     def test_timing_is_lookup_only(self, indexed_system):
-        vector = indexed_system.vector_of(ColumnRef("db", "customers", "company"))
+        vector = indexed_system.vector_of(COMPANY)
         timing = indexed_system.search_vector(vector, 3).timing
         assert timing.load_s == 0.0
         assert timing.embed_s == 0.0

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro._util import rng_for
 from repro.core.config import WarpGateConfig
-from repro.core.persistence import load_index_durable, save_index_durable
 from repro.core.warpgate import WarpGate
 from repro.durability import (
     DurableIndexStore,
@@ -138,21 +137,19 @@ class TestWalFraming:
 class TestStoreCheckpointAndRecovery:
     def test_checkpoint_recover_roundtrip(self, tmp_path):
         system, refs = make_engine()
-        store = save_index_durable(system, tmp_path / "store")
-        store.close()
-        recovered, store, report = load_index_durable(tmp_path / "store")
-        store.close()
+        DiscoveryService(engine=system).save(tmp_path / "store")
+        service = DiscoveryService.load_durable(tmp_path / "store")
+        service.close()
+        recovered, report = service.engine, service.recovery_report
         assert set(recovered.indexed_refs) == set(refs)
         for ref in refs:
-            assert np.allclose(
-                recovered.vector_of(ref), system.vector_of(ref), rtol=0, atol=1e-6
-            )
+            assert np.array_equal(recovered.vector_of(ref), system.vector_of(ref))
         assert report["recovered_columns"] == len(refs)
         assert report["wal_records_replayed"] == 0
 
     def test_unindexed_engine_rejected(self, tmp_path):
         with pytest.raises(DiscoveryError):
-            save_index_durable(WarpGate(), tmp_path / "store")
+            DiscoveryService(engine=WarpGate()).save(tmp_path / "store")
 
     def test_wal_replay_applies_acknowledged_mutations(self, tmp_path):
         system, refs = make_engine()

@@ -15,7 +15,6 @@ import pytest
 
 from repro._util import rng_for
 from repro.core.config import WarpGateConfig
-from repro.core.persistence import load_index, save_index
 from repro.core.warpgate import WarpGate
 from repro.durability import (
     CRASH_POINTS,
@@ -30,6 +29,7 @@ from repro.errors import (
     ReproError,
     ScanBudgetExceededError,
 )
+from repro.service.discovery import DiscoveryService
 from repro.storage.column import Column
 from repro.storage.csv_codec import read_csv
 from repro.storage.schema import ColumnRef
@@ -194,13 +194,10 @@ class TestDurabilityCrashMatrix:
         for point in CRASH_POINTS
         if point.startswith(("segment.seal.", "manifest.publish.", "wal.truncate."))
     )
-    ARTIFACT_POINTS = tuple(
-        point for point in CRASH_POINTS if point.startswith("artifact.save.")
-    )
 
     def test_matrix_covers_every_registered_point(self):
         """A new fire site must land in exactly one matrix bucket."""
-        covered = self.WAL_APPEND_POINTS + self.CHECKPOINT_POINTS + self.ARTIFACT_POINTS
+        covered = self.WAL_APPEND_POINTS + self.CHECKPOINT_POINTS
         assert sorted(covered) == sorted(CRASH_POINTS)
 
     def _base(self, tmp_path):
@@ -266,43 +263,51 @@ class TestDurabilityCrashMatrix:
             store.checkpoint(system)
         faultpoints.disarm_all()
         store.close()
-        from repro.core.persistence import load_index_durable
-
-        recovered, store, _report = load_index_durable(tmp_path / "store")
-        store.checkpoint(recovered)
-        store.close()
+        recovered = DiscoveryService.load_durable(tmp_path / "store")
+        recovered.checkpoint()
+        recovered.close()
         report = fsck_store(tmp_path / "store")
         assert not report["problems"]
         _assert_state(_recover_state(tmp_path / "store"), oracle)
 
 
 class TestAtomicArtifactSave:
-    """``save_index`` around its ``os.replace``: all-or-nothing on disk."""
+    """``save`` over an existing store: the manifest publish is all-or-nothing."""
 
     def test_crash_before_replace_preserves_previous_artifact(self, tmp_path):
         system, refs = _make_engine()
-        path = tmp_path / "index.npz"
-        save_index(system, path)
+        path = tmp_path / "store"
+        service = DiscoveryService(engine=system)
+        service.save(path)
         system._index.update(refs[0], _vec("clobber"))
-        faultpoints.crash_at("artifact.save.before_replace")
+        faultpoints.crash_at("manifest.publish.before_replace")
         with pytest.raises(InjectedCrash):
-            save_index(system, path)
+            service.save(path)
         faultpoints.disarm_all()
-        restored = load_index(path)
-        assert set(restored.indexed_refs) == set(refs)
-        # The half-written temp never replaced the good artifact: the
-        # restored vector is the original, not the clobbered one.
+        restored = DiscoveryService.load_durable(path)
+        restored.close()
+        assert set(restored.engine.indexed_refs) == set(refs)
+        # The new segment never replaced the good manifest: the restored
+        # vector is the original, not the clobbered one.
         assert not np.array_equal(
-            np.asarray(restored.vector_of(refs[0])),
+            np.asarray(restored.engine.vector_of(refs[0])),
             np.asarray(system.vector_of(refs[0])),
         )
 
     def test_crash_after_replace_leaves_loadable_artifact(self, tmp_path):
         system, refs = _make_engine()
-        path = tmp_path / "index.npz"
-        faultpoints.crash_at("artifact.save.after_replace")
+        path = tmp_path / "store"
+        service = DiscoveryService(engine=system)
+        service.save(path)
+        system._index.update(refs[0], _vec("clobber"))
+        faultpoints.crash_at("manifest.publish.after_replace")
         with pytest.raises(InjectedCrash):
-            save_index(system, path)
+            service.save(path)
         faultpoints.disarm_all()
-        restored = load_index(path)
-        assert set(restored.indexed_refs) == set(refs)
+        restored = DiscoveryService.load_durable(path)
+        restored.close()
+        assert set(restored.engine.indexed_refs) == set(refs)
+        assert np.array_equal(
+            np.asarray(restored.engine.vector_of(refs[0])),
+            np.asarray(system.vector_of(refs[0])),
+        )

@@ -251,12 +251,6 @@ class TestMutationGeneration:
         arena.compact()
         assert arena.mutation_generation > g3
 
-    def test_adopt_counts_as_a_mutation(self):
-        arena = make_arena()
-        matrix = np.stack([unit(1), unit(2)])
-        arena.adopt(["a", "b"], matrix)
-        assert arena.mutation_generation > 0
-
     def test_columnar_index_exposes_it(self):
         for index in (
             ExactCosineIndex(DIM),

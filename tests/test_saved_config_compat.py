@@ -1,6 +1,6 @@
-"""Artifacts and durable stores written before a config field was removed
-still load: the loader drops exactly the retired keys — the process-worker
-pair (``shard_workers`` / ``worker_transport``) and the shard / int8 four
+"""Durable stores written before a config field was removed still load:
+the loader drops exactly the retired keys — the process-worker pair
+(``shard_workers`` / ``worker_transport``) and the shard / int8 four
 (``n_shards`` / ``shard_placement`` / ``quantize`` / ``rerank_factor``).
 
 The payload was always saved flat in float32, so a store saved under any
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -51,21 +50,6 @@ def test_from_saved_drops_only_the_retired_keys():
     assert WarpGateConfig.from_saved({**asdict(config), **RETIRED}) == config
     with pytest.raises(TypeError):
         WarpGateConfig.from_saved({**asdict(config), "bogus": 1})
-
-
-def test_artifact_with_retired_keys_loads(tmp_path, toy_warehouse):
-    service = fresh_service(toy_warehouse)
-    artifact = service.save(tmp_path / "index.npz")
-    with np.load(artifact) as archive:
-        members = {name: archive[name] for name in archive.files}
-    header = json.loads(members["header"].tobytes().decode("utf-8"))
-    header["config"].update(RETIRED)
-    members["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez(artifact, **members)
-
-    restored = DiscoveryService.load(artifact, connector=WarehouseConnector(toy_warehouse))
-    assert restored.engine.config == service.engine.config
-    assert_answers_like_fresh(restored, toy_warehouse)
 
 
 def test_manifest_with_retired_keys_recovers(tmp_path, toy_warehouse):

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.config import WarpGateConfig
 from repro.core.lookup import LookupService
-from repro.core.persistence import load_service
 from repro.service import (
     DiscoveryService,
     IndexStats,
@@ -382,24 +381,18 @@ class TestConcurrency:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, service, tmp_path, toy_warehouse):
-        artifact = service.save(tmp_path / "svc.npz")
-        restored = DiscoveryService.load(
-            artifact, connector=WarehouseConnector(toy_warehouse)
+        store = service.save(tmp_path / "svc")
+        restored = DiscoveryService.load_durable(
+            store, connector=WarehouseConnector(toy_warehouse)
         )
         assert restored.search(company_ref(), 3).refs == (
             service.search(company_ref(), 3).refs
         )
 
-    def test_load_service_helper(self, service, tmp_path):
-        artifact = service.save(tmp_path / "svc.npz")
-        restored = load_service(artifact)
-        assert isinstance(restored, DiscoveryService)
-        assert restored.engine.indexed_count == service.engine.indexed_count
-
     def test_loaded_service_supports_mutation(self, service, tmp_path, toy_warehouse):
-        artifact = service.save(tmp_path / "svc.npz")
-        restored = DiscoveryService.load(
-            artifact, connector=WarehouseConnector(toy_warehouse)
+        store = service.save(tmp_path / "svc")
+        restored = DiscoveryService.load_durable(
+            store, connector=WarehouseConnector(toy_warehouse)
         )
         restored.add_table("db", suppliers_table())
         refs = restored.search(company_ref(), 10).refs
